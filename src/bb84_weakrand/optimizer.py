@@ -8,12 +8,19 @@ balance, the fourth bit error rate by the observed QBER, and the phase
 errors by their closed-form adversarial worst case.  A coarse
 deterministic grid seeds a handful of Nelder-Mead refinements;
 reproducibility is favoured over solver sophistication.
+
+The refinement is an in-package bounded Nelder-Mead on plain floats
+that repeats the steps of ``scipy.optimize.minimize(method="Nelder-Mead",
+bounds=...)`` (scipy 1.17) operation for operation, so it returns the
+same bits without depending on scipy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +38,25 @@ from .keyrate import (
 PENALTY_BASE = 1e3
 PENALTY_CAP = 1e6
 DEGENERATE_AXIS_TOL = 1e-15
+# The grid scan holds about GRID_BYTES_PER_CELL bytes per cell at its peak
+# (points, mesh and the vectorised objective's temporaries; measured on
+# 10**5 to 16**5 cells).  MAX_GRID_CELLS keeps it within GRID_MEMORY_BUDGET.
+GRID_BYTES_PER_CELL = 290
+GRID_MEMORY_BUDGET = 4 * 2**30
+MAX_GRID_CELLS = GRID_MEMORY_BUDGET // GRID_BYTES_PER_CELL
 _TINY = 1e-15
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the grid-plus-simplex search; defaults favour reproducibility."""
+    """Knobs for the grid-plus-simplex search; defaults favour reproducibility.
+
+    The scan grid has ``grid_points`` to the power of the number of
+    non-degenerate axes cells, at most ``MAX_GRID_CELLS`` (14,810,232: the
+    cells that fit a 4 GiB scan at about 290 B each, so up to 27 points on
+    each of the five two-step axes).  A larger grid is rejected with a
+    ValidationError before any array is built.
+    """
 
     grid_points: int = 9
     refine_starts: int = 10
@@ -73,6 +93,22 @@ class TwoStepProblem:
             raise ValidationError(
                 f"observed_basis_prob={self.observed_basis_prob!r} outside (0, 1)"
             )
+
+    @cached_property
+    def search_constants(self) -> tuple[float, float, float, float, float]:
+        """The objective's per-problem constants, computed once.
+
+        ``(q_target, observed_basis_prob, phase gap bound, basis band low,
+        basis band high)``.
+        """
+        eps1 = self.dev.eps1
+        return (
+            self.q_target,
+            self.observed_basis_prob,
+            phase_gap_bound(self.dev.eps0),
+            max(0.0, 0.5 - eps1),
+            min(1.0, 0.5 + eps1),
+        )
 
 
 @dataclass(frozen=True)
@@ -117,11 +153,7 @@ def _reduced_objective_vec(problem: TwoStepProblem, points: np.ndarray) -> np.nd
     e00 = points[:, 2]
     e01 = points[:, 3]
     e10 = points[:, 4]
-    q = problem.q_target
-    rec_target = problem.observed_basis_prob
-    gap = phase_gap_bound(problem.dev.eps0)
-    band_lo = max(0.0, 0.5 - problem.dev.eps1)
-    band_hi = min(1.0, 0.5 + problem.dev.eps1)
+    q, rec_target, gap, band_lo, band_hi = problem.search_constants
 
     penalty = np.zeros_like(p)
     one_minus_p = 1.0 - p
@@ -182,12 +214,14 @@ def _entropy(x: float) -> float:
 def _reduced_objective_scalar(
     problem: TwoStepProblem, p: float, a0: float, e00: float, e01: float, e10: float
 ) -> float:
-    """Plain-float twin of :func:`_reduced_objective_vec` for simplex calls."""
-    q = problem.q_target
-    rec_target = problem.observed_basis_prob
-    gap = phase_gap_bound(problem.dev.eps0)
-    band_lo = max(0.0, 0.5 - problem.dev.eps1)
-    band_hi = min(1.0, 0.5 + problem.dev.eps1)
+    """Plain-float twin of :func:`_reduced_objective_vec` for simplex calls.
+
+    ``b if b > a else a`` and ``b if b < a else a`` spell ``max(a, b)`` and
+    ``min(a, b)`` without the call, keeping their tie rule (``a`` wins).
+    The bit error rates go to :func:`_entropy` unclamped: it is 0 outside
+    (0, 1), as it would be at the clamped value.
+    """
+    q, rec_target, gap, band_lo, band_hi = problem.search_constants
 
     penalty = 0.0
     one_minus_p = 1.0 - p
@@ -196,8 +230,10 @@ def _reduced_objective_scalar(
         penalty += abs(p * a0 - rec_target)
     else:
         a1 = (rec_target - p * a0) / one_minus_p
-    penalty += max(band_lo - a1, 0.0) + max(a1 - band_hi, 0.0)
-    a1 = min(max(a1, band_lo), band_hi)
+    below, above = band_lo - a1, a1 - band_hi
+    penalty += (0.0 if 0.0 > below else below) + (0.0 if 0.0 > above else above)
+    a1 = band_lo if band_lo > a1 else a1
+    a1 = band_hi if band_hi < a1 else a1
 
     p_rec1, p_rec2 = p * a0, one_minus_p * a1
     p_dia1, p_dia2 = p * (1.0 - a0), one_minus_p * (1.0 - a1)
@@ -208,42 +244,52 @@ def _reduced_objective_scalar(
         penalty += abs(residual)
     else:
         e11 = residual / p_dia2
-    penalty += max(-e11, 0.0) + max(e11 - 1.0, 0.0)
-    e11 = min(max(e11, 0.0), 1.0)
+    below, above = -e11, e11 - 1.0
+    penalty += (0.0 if 0.0 > below else below) + (0.0 if 0.0 > above else above)
+    e11 = 0.0 if 0.0 > e11 else e11
+    e11 = 1.0 if 1.0 < e11 else e11
 
     p_rec = p_rec1 + p_rec2
     p_dia = p_dia1 + p_dia2
     rate = 0.0
     if p_rec > 0.0:
         e_recbit = (p_rec1 * e00 + p_rec2 * e10) / p_rec
-        lo = (p_rec1 * max(e01 - gap, 0.0) + p_rec2 * max(e11 - gap, 0.0)) / p_rec
-        hi = (p_rec1 * min(e01 + gap, 1.0) + p_rec2 * min(e11 + gap, 1.0)) / p_rec
+        lo0, lo1, hi0, hi1 = e01 - gap, e11 - gap, e01 + gap, e11 + gap
+        lo = (p_rec1 * (0.0 if 0.0 > lo0 else lo0) + p_rec2 * (0.0 if 0.0 > lo1 else lo1)) / p_rec
+        hi = (p_rec1 * (1.0 if 1.0 < hi0 else hi0) + p_rec2 * (1.0 if 1.0 < hi1 else hi1)) / p_rec
         e_recpha = 0.5 if lo <= 0.5 <= hi else (hi if hi < 0.5 else lo)
-        rate += p_rec * (1.0 - _entropy(min(max(e_recbit, 0.0), 1.0)) - _entropy(e_recpha))
+        rate += p_rec * (1.0 - _entropy(e_recbit) - _entropy(e_recpha))
     if p_dia > 0.0:
         e_diabit = (p_dia1 * e01 + p_dia2 * e11) / p_dia
-        lo = (p_dia1 * max(e00 - gap, 0.0) + p_dia2 * max(e10 - gap, 0.0)) / p_dia
-        hi = (p_dia1 * min(e00 + gap, 1.0) + p_dia2 * min(e10 + gap, 1.0)) / p_dia
+        lo0, lo1, hi0, hi1 = e00 - gap, e10 - gap, e00 + gap, e10 + gap
+        lo = (p_dia1 * (0.0 if 0.0 > lo0 else lo0) + p_dia2 * (0.0 if 0.0 > lo1 else lo1)) / p_dia
+        hi = (p_dia1 * (1.0 if 1.0 < hi0 else hi0) + p_dia2 * (1.0 if 1.0 < hi1 else hi1)) / p_dia
         e_diapha = 0.5 if lo <= 0.5 <= hi else (hi if hi < 0.5 else lo)
-        rate += p_dia * (1.0 - _entropy(min(max(e_diabit, 0.0), 1.0)) - _entropy(e_diapha))
+        rate += p_dia * (1.0 - _entropy(e_diabit) - _entropy(e_diapha))
 
     if penalty > 0.0:
-        return rate + PENALTY_BASE + min(penalty, PENALTY_CAP)
+        return rate + PENALTY_BASE + (PENALTY_CAP if PENALTY_CAP < penalty else penalty)
     return rate
 
 
 def _grid_axes(bounds: list[tuple[float, float]], grid_points: int) -> list[np.ndarray]:
-    axes = []
+    cells = 1
     for lo, hi in bounds:
         if hi < lo:
             raise ValidationError(f"empty box: bound ({lo!r}, {hi!r})")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError(f"bounds must be finite, got ({lo!r}, {hi!r})")
-        if hi - lo <= DEGENERATE_AXIS_TOL:
-            axes.append(np.array([lo]))
-        else:
-            axes.append(np.linspace(lo, hi, grid_points))
-    return axes
+        if hi - lo > DEGENERATE_AXIS_TOL:
+            cells *= grid_points
+    if cells > MAX_GRID_CELLS:
+        raise ValidationError(
+            f"a grid of {grid_points} points per axis has {cells} cells, "
+            f"above the cap of {MAX_GRID_CELLS}; use fewer grid points"
+        )
+    return [
+        np.linspace(lo, hi, grid_points) if hi - lo > DEGENERATE_AXIS_TOL else np.array([lo])
+        for lo, hi in bounds
+    ]
 
 
 def _grid_points_array(axes: list[np.ndarray]) -> np.ndarray:
@@ -251,41 +297,142 @@ def _grid_points_array(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+# Initial-simplex steps of scipy's Nelder-Mead: 5 % of a nonzero coordinate,
+# an absolute step for a zero one.
+_NONZDELT = 0.05
+_ZDELT = 0.00025
+
+
+def _clip(x: list[float], lower: list[float], upper: list[float]) -> list[float]:
+    """``np.clip`` of 1-D arrays: max then min, the first operand kept on ties."""
+    return [m if (m := v if v > lo else lo) < hi else hi for v, lo, hi in zip(x, lower, upper)]
+
+
+def _converged(sim, fsim, xatol, fatol) -> bool:
+    """scipy's stop test: every vertex within ``xatol`` and ``fatol`` of the best."""
+    best, f_best = sim[0], fsim[0]
+    for f in fsim[1:]:
+        if not abs(f_best - f) <= fatol:
+            return False
+    for x in sim[1:]:
+        for v, b in zip(x, best):
+            if not abs(v - b) <= xatol:
+                return False
+    return True
+
+
+def _nelder_mead(func, x0, lower, upper, max_iterations, fatol, xatol):
+    """Bounded Nelder-Mead on plain floats; returns ``(x, func(x), iterations)``.
+
+    Repeats ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
+    bounds=list(zip(lower, upper)), options={"maxiter": max_iterations,
+    "fatol": fatol, "xatol": xatol})`` of scipy 1.17 operation for
+    operation: the same IEEE steps in the same order, the same clipping
+    and the same tie rules, so the result and the iteration count are bit
+    for bit scipy's.  Coefficients are scipy's defaults:
+    reflection 1, expansion 2, contraction and shrink 1/2.  ``func`` gets
+    a list of floats it must not modify.
+    """
+    n = len(x0)
+    best = _clip(x0, lower, upper)
+    sim = [best]
+    for k in range(n):
+        vertex = list(best)
+        vertex[k] = (1 + _NONZDELT) * vertex[k] if vertex[k] != 0 else _ZDELT
+        sim.append(vertex)
+    # Steps that overshoot an upper bound are reflected inside, then clipped.
+    sim = [
+        _clip([2 * hi - v if v > hi else v for v, hi in zip(x, upper)], lower, upper)
+        for x in sim
+    ]
+    fsim = [func(x) for x in sim]
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        # np.argsort is not stable, and the tied vertex it puts first steers
+        # the simplex, so ties must go through it as in scipy.
+        order = np.argsort(fsim).tolist()
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+
+    iterations = 1
+    while iterations < max_iterations:
+        best, f_best = sim[0], fsim[0]
+        if _converged(sim, fsim, xatol, fatol):
+            break
+        # Left-to-right column sums, as np.add.reduce(sim[:-1], 0).
+        total = best
+        for x in sim[1:-1]:
+            total = map(operator.add, total, x)
+        xbar = [t / n for t in total]
+        worst = sim[-1]
+        xr = _clip([2 * b - w for b, w in zip(xbar, worst)], lower, upper)
+        fxr = func(xr)
+        shrink = False
+        if fxr < f_best:
+            xe = _clip([3 * b - 2 * w for b, w in zip(xbar, worst)], lower, upper)
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = _clip([1.5 * b - 0.5 * w for b, w in zip(xbar, worst)], lower, upper)
+            fxc = func(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = _clip([0.5 * b + 0.5 * w for b, w in zip(xbar, worst)], lower, upper)
+            fxcc = func(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = _clip([b + 0.5 * (v - b) for b, v in zip(best, sim[j])], lower, upper)
+                fsim[j] = func(sim[j])
+        iterations += 1
+        order = np.argsort(fsim).tolist()
+        sim = [sim[i] for i in order]
+        fsim = [fsim[i] for i in order]
+    return sim[0], fsim[0], iterations
+
+
 def _refine(objective, start, bounds, opts):
-    """Nelder-Mead polish of one start, with degenerate axes held fixed."""
-    from scipy.optimize import minimize
+    """Nelder-Mead polish of one start, with degenerate axes held fixed.
 
+    ``objective`` takes the full point as a list of floats.
+    """
+    point = [float(v) for v in start]
     free = [i for i, (lo, hi) in enumerate(bounds) if hi - lo > DEGENERATE_AXIS_TOL]
-    if not free:
-        return np.asarray(start, dtype=float), float(objective(np.asarray(start))), 0
+    iterations = 0
+    if free:
+        def reduced(x):
+            full = point[:]
+            for i, v in zip(free, x):
+                full[i] = v
+            return objective(full)
 
-    template = np.asarray(start, dtype=float).copy()
-
-    def reduced(x):
-        full = template.copy()
-        full[free] = x
-        return objective(full)
-
-    result = minimize(
-        reduced,
-        x0=template[free],
-        method="Nelder-Mead",
-        bounds=[bounds[i] for i in free],
-        options={
-            "maxiter": opts.max_iterations,
-            "fatol": opts.objective_tol,
-            "xatol": opts.variable_tol,
-        },
-    )
-    point = template.copy()
-    point[free] = np.clip(
-        result.x, [bounds[i][0] for i in free], [bounds[i][1] for i in free]
-    )
-    return point, float(objective(point)), int(result.nit)
+        x, _, iterations = _nelder_mead(
+            reduced,
+            [point[i] for i in free],
+            [bounds[i][0] for i in free],
+            [bounds[i][1] for i in free],
+            opts.max_iterations,
+            opts.objective_tol,
+            opts.variable_tol,
+        )
+        for i, v in zip(free, x):
+            point[i] = v
+    return np.array(point), float(objective(point)), iterations
 
 
 def _box_search(objective, bounds, opts, vectorized=None):
-    """Grid scan plus simplex refinement; returns (point, value, report)."""
+    """Grid scan plus simplex refinement; returns (point, value, report).
+
+    ``objective`` takes a point as a sequence of floats: a grid row when
+    ``vectorized`` is not given, a list during refinement.
+    """
     axes = _grid_axes(bounds, opts.grid_points)
     points = _grid_points_array(axes)
     if vectorized is not None:
@@ -329,7 +476,8 @@ def minimize_box(objective, bounds, opts: SolverOptions | None = None):
 
     Scans a uniform grid (``opts.grid_points`` per non-degenerate axis),
     then polishes the best ``opts.refine_starts`` cells with Nelder-Mead.
-    Returns ``(point, value)``; identical inputs give identical output.
+    ``objective`` takes a point as a sequence of floats.  Returns
+    ``(point, value)``; identical inputs give identical output.
     """
     opts = opts or SolverOptions()
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
@@ -340,10 +488,7 @@ def minimize_box(objective, bounds, opts: SolverOptions | None = None):
 def _reconstruct_scenario(problem: TwoStepProblem, v: np.ndarray) -> TwoStepScenario:
     """Rebuild the full scenario (eliminated variables included) from a point."""
     p, a0, e00, e01, e10 = (float(x) for x in v)
-    rec_target = problem.observed_basis_prob
-    gap = phase_gap_bound(problem.dev.eps0)
-    band_lo = max(0.0, 0.5 - problem.dev.eps1)
-    band_hi = min(1.0, 0.5 + problem.dev.eps1)
+    q, rec_target, gap, band_lo, band_hi = problem.search_constants
 
     if 1.0 - p < _TINY:
         a1 = 0.5
@@ -353,7 +498,7 @@ def _reconstruct_scenario(problem: TwoStepProblem, v: np.ndarray) -> TwoStepScen
 
     p_rec1, p_rec2 = p * a0, (1.0 - p) * a1
     p_dia1, p_dia2 = p * (1.0 - a0), (1.0 - p) * (1.0 - a1)
-    residual = problem.q_target - p_rec1 * e00 - p_rec2 * e10 - p_dia1 * e01
+    residual = q - p_rec1 * e00 - p_rec2 * e10 - p_dia1 * e01
     e11 = 0.0 if p_dia2 < _TINY else residual / p_dia2
     e11 = min(max(e11, 0.0), 1.0)
 
@@ -443,19 +588,11 @@ def solve_two_step(
     cannot drift apart.
     """
     opts = opts or SolverOptions()
-    eps1 = problem.dev.eps1
-    bounds = [
-        (0.0, 1.0),
-        (max(0.0, 0.5 - eps1), min(1.0, 0.5 + eps1)),
-        (0.0, 1.0),
-        (0.0, 1.0),
-        (0.0, 1.0),
-    ]
+    _, _, _, band_lo, band_hi = problem.search_constants
+    bounds = [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
 
-    def scalar(v) -> float:
-        return _reduced_objective_scalar(
-            problem, float(v[0]), float(v[1]), float(v[2]), float(v[3]), float(v[4])
-        )
+    def scalar(v: list[float]) -> float:
+        return _reduced_objective_scalar(problem, *v)
 
     def vectorized(points: np.ndarray) -> np.ndarray:
         return _reduced_objective_vec(problem, points)

@@ -64,6 +64,35 @@ class TestRateCommand:
         assert proc.returncode == EXIT_VALIDATION
         assert "--seed" in proc.stderr
 
+    def test_two_step_does_not_import_scipy(self):
+        code = (
+            "import sys\n"
+            "from bb84_weakrand.cli import main\n"
+            "argv = ['rate', '--method', 'two-step', '--qber', '0.02', '--eps1', '0.1',\n"
+            "        '--seed', '1', '--grid', '5', '--starts', '2', '--out', '-']\n"
+            "assert main(argv) == 0\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_oversized_grid_exits_validation(self, capsys, monkeypatch):
+        from bb84_weakrand import optimizer
+
+        def unreachable(_axes):
+            raise AssertionError("grid built despite the cap")
+
+        monkeypatch.setattr(optimizer, "_grid_points_array", unreachable)
+        rate = ["rate", "--method", "two-step", "--qber", "0.02", "--eps1", "0.1"]
+        sweep = ["sweep", "--qber", "0:0.02:0.01", "--dev", "0,0.1", "--method", "two-step"]
+        for argv in (rate, sweep):
+            assert main([*argv, "--seed", "1", "--grid", "40"]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "102400000 cells, above the cap of 14810232" in captured.err
+
     def test_invalid_qber_exits_validation(self):
         proc = run_cli("rate", "--method", "one-step", "--qber", "0.7")
         assert proc.returncode == EXIT_VALIDATION

@@ -1,7 +1,11 @@
 """Tests for the box search and the worst-case scenario minimization."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from bb84_weakrand import optimizer
 from bb84_weakrand.errors import ValidationError
 from bb84_weakrand.keyrate import (
     DeviationParams,
@@ -11,8 +15,14 @@ from bb84_weakrand.keyrate import (
     one_step_rate,
 )
 from bb84_weakrand.optimizer import (
+    DEGENERATE_AXIS_TOL,
+    MAX_GRID_CELLS,
     SolverOptions,
     TwoStepProblem,
+    _clip,
+    _grid_axes,
+    _grid_points_array,
+    _nelder_mead,
     _reduced_objective_scalar,
     _reduced_objective_vec,
     _reconstruct_scenario,
@@ -29,6 +39,10 @@ TWO_STEP_BASIS_LEAK = 0.66416759962660319398002667314973674707
 FAST = SolverOptions(grid_points=7, refine_starts=6, max_iterations=300)
 
 
+def rosenbrock(v):
+    return (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
+
+
 class TestMinimizeBox:
     def test_interior_quadratic(self):
         point, value = minimize_box(lambda v: (v[0] - 1.0) ** 2, [(0.0, 2.0)])
@@ -41,9 +55,6 @@ class TestMinimizeBox:
         assert value == pytest.approx(3.0, abs=1e-9)
 
     def test_rosenbrock(self):
-        def rosenbrock(v):
-            return (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
-
         point, value = minimize_box(rosenbrock, [(-2.0, 2.0), (-2.0, 2.0)])
         assert point[0] == pytest.approx(1.0, abs=1e-4)
         assert point[1] == pytest.approx(1.0, abs=1e-4)
@@ -200,3 +211,174 @@ class TestSolveTwoStep:
         trace = report["best_objective_trace"]
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert report["grid_evaluations"] == 7**5
+
+
+class TestGridCap:
+    BOX = [(0.0, 1.0), (0.4, 0.6), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+
+    def test_cap_admits_up_to_27_points_per_axis(self):
+        assert 27**5 <= MAX_GRID_CELLS < 28**5
+        for grid in (16, 20, 25, 27):
+            assert [len(axis) for axis in _grid_axes(self.BOX, grid)] == [grid] * 5
+        with pytest.raises(ValidationError):
+            _grid_axes(self.BOX, 28)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_GRID_CELLS", 9**5)
+        assert len(_grid_axes(self.BOX, 9)) == 5
+        monkeypatch.setattr(optimizer, "MAX_GRID_CELLS", 9**5 - 1)
+        with pytest.raises(ValidationError):
+            _grid_axes(self.BOX, 9)
+
+    def test_degenerate_axes_do_not_count(self):
+        box = [(0.0, 1.0), (0.5, 0.5), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+        assert [len(axis) for axis in _grid_axes(box, 60)] == [60, 1, 60, 60, 60]
+
+    def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
+        def unreachable(_axes):
+            raise AssertionError("grid built despite the cap")
+
+        monkeypatch.setattr(optimizer, "_grid_points_array", unreachable)
+        problem = TwoStepProblem(q_target=0.02, dev=DeviationParams(0.0, 0.1))
+        with pytest.raises(ValidationError, match="40 points per axis has 102400000 cells"):
+            solve_two_step(problem, SolverOptions(grid_points=40))
+        with pytest.raises(ValidationError, match="above the cap of 14810232"):
+            _grid_axes(self.BOX[:1], 10**9)
+
+
+class TestSimplexHelpers:
+    def test_clip_matches_numpy_on_ties_and_signed_zeros(self):
+        cases = [
+            (-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (0.0, -1.0, -0.0), (-0.0, -1.0, 0.0),
+            (0.5, 0.5, 0.5), (2.0, 0.0, 1.0), (-2.0, 0.0, 1.0), (0.3, 0.0, 1.0),
+        ]
+        # scipy clips 1-D arrays; numpy's 0-d path keeps different zeros.
+        for width in (1, 16):
+            for v, lo, hi in cases:
+                ours = _clip([v] * width, [lo] * width, [hi] * width)
+                ref = np.clip(np.full(width, v), np.full(width, lo), np.full(width, hi))
+                assert [x.hex() for x in ours] == [float(x).hex() for x in ref]
+
+
+def _refinement_starts(values_of, bounds, opts):
+    """The grid cells :func:`_box_search` polishes, best first."""
+    points = _grid_points_array(_grid_axes(bounds, opts.grid_points))
+    order = np.argsort(values_of(points), kind="stable")
+    return points[order[: opts.refine_starts]]
+
+
+def _two_step_case(q, eps0, eps1):
+    problem = TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1))
+    _, _, _, band_lo, band_hi = problem.search_constants
+    bounds = [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+
+    def objective(v):
+        return _reduced_objective_scalar(problem, *v)
+
+    return objective, bounds, lambda points: _reduced_objective_vec(problem, points)
+
+
+def _rosenbrock_case():
+    def values_of(points):
+        return np.array([rosenbrock(row) for row in points])
+
+    return rosenbrock, [(-2.0, 2.0), (-2.0, 2.0)], values_of
+
+
+CROSS_CHECK_CASES = {
+    "ties-at-zero-qber": lambda: _two_step_case(0.0, 0.0, 0.0),
+    "degenerate-basis-axis": lambda: _two_step_case(0.02, 0.1, 0.0),
+    "active-phase-gap": lambda: _two_step_case(0.03, 0.1, 0.1),
+    "saturated-cells": lambda: _two_step_case(0.04, 0.0, 0.45),
+    "rosenbrock": _rosenbrock_case,
+}
+
+
+class TestNelderMeadMatchesScipy:
+    """The in-package simplex repeats scipy's bounded Nelder-Mead bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(CROSS_CHECK_CASES))
+    def test_same_points_values_and_iterations(self, case):
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        objective, bounds, values_of = CROSS_CHECK_CASES[case]()
+        opts = SolverOptions()
+        free = [i for i, (lo, hi) in enumerate(bounds) if hi - lo > DEGENERATE_AXIS_TOL]
+        lower = [bounds[i][0] for i in free]
+        upper = [bounds[i][1] for i in free]
+        for start in _refinement_starts(values_of, bounds, opts):
+            calls = {"ours": [], "scipy": []}
+
+            def reduced(x, log):
+                full = [float(v) for v in start]
+                for i, v in zip(free, x):
+                    full[i] = float(v)
+                log.append([v.hex() for v in full])
+                return objective(full)
+
+            x0 = [float(start[i]) for i in free]
+            x, fun, nit = _nelder_mead(
+                lambda x: reduced(x, calls["ours"]),
+                x0, lower, upper,
+                opts.max_iterations, opts.objective_tol, opts.variable_tol,
+            )
+            ref = minimize(
+                lambda x: reduced(x, calls["scipy"]),
+                x0=np.array(x0),
+                method="Nelder-Mead",
+                bounds=list(zip(lower, upper)),
+                options={
+                    "maxiter": opts.max_iterations,
+                    "fatol": opts.objective_tol,
+                    "xatol": opts.variable_tol,
+                },
+            )
+            assert calls["ours"] == calls["scipy"]
+            assert [v.hex() for v in x] == [float(v).hex() for v in ref.x]
+            assert fun.hex() == float(ref.fun).hex()
+            assert nit == ref.nit
+
+
+# sha256 of canonical_json(solve_two_step(...).to_dict()) with default
+# options, recorded while scipy's Nelder-Mead did the polish (x86-64 with
+# AVX-512, numpy 2.4); pins the exact output on machines without scipy.
+# The eps1 = 0 and eps1 = 0.45 cases at q > 0 hit tied vertex values,
+# ordered by np.argsort, whose order among ties depends on the CPU (and
+# may depend on the numpy version); scipy's result moves with it.
+GOLDEN_SOLVES = {
+    (0.02, 0.0, 0.1, 0.5): "8014ddce05ef5c7b3658ca46c18626cdc69fd74b315576c500c878c2fba7f0af",
+    (0.0, 0.0, 0.0, 0.5): "7a50c95ff086588bbca5b6455a08d4fd45d5391fcc185c6bf94c0bee5e99e18e",
+    (0.02, 0.0, 0.0, 0.5): "8efd585f8772493b019842804c81acecd7d27f022b00da3d1a68561db0343667",
+    (0.03, 0.1, 0.1, 0.5): "cf4fbcbe94ad8a9834dc30bf8d73e154205c8f87bc5b83e5b8daa0e65efbc139",
+    (0.04, 0.0, 0.45, 0.5): "369f47a0cdfbc84cc2064869dee07946d7c009a34e18b4385dd91e091b39230d",
+    (0.05, 0.05, 0.2, 0.45): "defaa22609d2b8e6269704a54b19d9fccecb406747ffda8a849109e353c05c81",
+}
+
+# For each tie-dependent golden: a tied simplex its solve sorts, and the
+# order np.argsort gave it when the golden was recorded.
+TIED_SORTS = {
+    (0.02, 0.0, 0.0, 0.5): (
+        ["0x1.6f8269eaa2190p-1", "0x1.6fa77a5809343p-1", "0x1.6fa77a5809343p-1",
+         "0x1.6fd21121bb485p-1", "0x1.6f4fced2eb968p-1"],
+        [4, 0, 2, 1, 3],
+    ),
+    (0.04, 0.0, 0.45, 0.5): (
+        ["-0x1.f036e3217b53cp-3", "-0x1.f036e3217b534p-3", "-0x1.f036e3217b534p-3",
+         "-0x1.f036e3217b525p-3", "-0x1.f036e3217b524p-3", "-0x1.f036e3217b538p-3"],
+        [0, 5, 2, 1, 3, 4],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SOLVES))
+def test_golden_solver_output(case):
+    if case in TIED_SORTS:
+        values, recorded = TIED_SORTS[case]
+        order = np.argsort([float.fromhex(v) for v in values]).tolist()
+        if order != recorded:
+            pytest.skip(f"np.argsort orders ties as {order} here, {recorded} when recorded")
+    q, eps0, eps1, basis_prob = case
+    problem = TwoStepProblem(
+        q_target=q, dev=DeviationParams(eps0, eps1), observed_basis_prob=basis_prob
+    )
+    payload = canonical_json(solve_two_step(problem).to_dict())
+    assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == GOLDEN_SOLVES[case]
