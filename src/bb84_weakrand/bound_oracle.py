@@ -12,6 +12,7 @@ the scan fast without approximating anything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,14 @@ from .quantum_core import (
 )
 
 VIOLATION_TOL = 1e-9
+
+# A scan holds about SIMPLEX_BYTES_PER_ROW bytes per simplex row at its
+# peak (the row tuples, the float grid, its scaled copy and the gap
+# vectors; the slope of peak RSS over grids of 100 to 250).
+# MAX_SIMPLEX_ROWS keeps a scan within SIMPLEX_MEMORY_BUDGET.
+SIMPLEX_BYTES_PER_ROW = 120
+SIMPLEX_MEMORY_BUDGET = 4 * 2**30
+MAX_SIMPLEX_ROWS = SIMPLEX_MEMORY_BUDGET // SIMPLEX_BYTES_PER_ROW
 
 _PURE_CHANNELS = (
     PauliChannel(1.0, 0.0, 0.0, 0.0),
@@ -76,10 +85,19 @@ def simplex_grid(resolution: int) -> np.ndarray:
     """All channel probability vectors with denominator ``resolution``.
 
     Rows are (q00, q01, q10, q11) built from integer compositions, so
-    the simplex vertices are always present exactly.
+    the simplex vertices are always present exactly.  There are
+    C(resolution + 3, 3) of them, at most ``MAX_SIMPLEX_ROWS``
+    (35,791,394, a 4 GiB scan: resolution 596 or less); a larger grid is
+    rejected before anything is built.
     """
     if resolution < 1:
         raise ValidationError("simplex grid resolution must be positive")
+    n_rows = math.comb(resolution + 3, 3)
+    if n_rows > MAX_SIMPLEX_ROWS:
+        raise ValidationError(
+            f"a simplex grid of resolution {resolution} has {n_rows} rows, "
+            f"above the cap of {MAX_SIMPLEX_ROWS}; use a smaller grid"
+        )
     rows = []
     for a in range(resolution + 1):
         for b in range(resolution + 1 - a):

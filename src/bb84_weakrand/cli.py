@@ -10,6 +10,7 @@ output I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -27,6 +28,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
+
+# Peak bytes per sweep row with JSON output (CSV needs half): the slope of
+# peak RSS over 2e4 to 1.6e5 one-step rows.  The cap keeps a sweep in budget.
+SWEEP_BYTES_PER_ROW = 1400
+SWEEP_MEMORY_BUDGET = 4 * 2**30
+MAX_SWEEP_ROWS = SWEEP_MEMORY_BUDGET // SWEEP_BYTES_PER_ROW
 
 _SIM_DEFAULTS = {
     "q00": 1.0,
@@ -190,7 +197,9 @@ def _cmd_rate(args) -> tuple[dict, object, int]:
     return params, result.to_dict(), EXIT_OK
 
 
-def _parse_qber_range(text: str) -> list[float]:
+def _parse_qber_range(text: str, rows_per_point: int) -> list[float]:
+    """START, START + STEP, ... below STOP, at least START; the rows (points
+    times ``rows_per_point``) are checked against ``MAX_SWEEP_ROWS`` first."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"--qber range {text!r} is not START:STOP:STEP")
@@ -198,13 +207,22 @@ def _parse_qber_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"--qber range {text!r} has a non-numeric part") from None
+    if not all(math.isfinite(value) for value in (start, stop, step)):
+        raise ValidationError(f"--qber range {text!r} has a non-finite part")
     if not 0.0 <= start < stop <= 0.5:
         raise ValidationError(
             f"--qber range needs 0 <= start < stop <= 0.5, got {text!r}"
         )
     if step <= 0.0:
         raise ValidationError(f"--qber range step must be positive, got {step!r}")
-    count = math.ceil((stop - start) / step - 1e-9)
+    # Checked before ceil, which overflows on a subnormal step's infinite span.
+    span = (stop - start) / step - 1e-9
+    if span > MAX_SWEEP_ROWS // rows_per_point:
+        raise ValidationError(
+            f"--qber range {text!r} gives about {span:.3g} points x {rows_per_point} "
+            f"rows, above the cap of {MAX_SWEEP_ROWS} rows; use a larger step"
+        )
+    count = max(1, math.ceil(span))
     return [start + i * step for i in range(count)]
 
 
@@ -220,9 +238,9 @@ def _parse_dev(text: str) -> DeviationParams:
 
 
 def _cmd_sweep(args) -> tuple[dict, object, int, list[str], list[list]]:
-    qbers = _parse_qber_range(args.qber)
     devs = [_parse_dev(text) for text in args.dev]
     methods = list(args.method)
+    qbers = _parse_qber_range(args.qber, len(devs) * len(methods))
     if "two-step" in methods:
         seed = _require_seed(args, "sweeps that include the two-step method")
     else:
@@ -352,16 +370,14 @@ def _cmd_simulate(args) -> tuple[dict, object, int]:
         attacker=attacker,
         seed=settings["seed"],
     )
-    if args.dump_pulses:
-        report, records = simulate(cfg, collect_records=True)
-        header = ["lambda0", "lambda1", "x0", "x1", "y", "bob_bit", "sifted", "eve_guess"]
-        rows = [
-            [r.lambda0, r.lambda1, r.x0, r.x1, r.y, r.bob_bit, r.sifted, r.eve_guess]
-            for r in records
-        ]
-        _write_text(args.dump_pulses, csv_text(header, rows))
+    if not args.dump_pulses:
+        dump = contextlib.nullcontext(None)
+    elif args.dump_pulses == "-":
+        dump = contextlib.nullcontext(sys.stdout)
     else:
-        report = simulate(cfg)
+        dump = open(args.dump_pulses, "w", encoding="utf-8", newline="")
+    with dump as handle:
+        report = simulate(cfg, handle)
     params = {key: settings[key] for key in sorted(settings)}
     return params, report.to_dict(), EXIT_OK
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -30,6 +31,14 @@ from .keyrate import HiddenVariableModel, one_step_rate
 from .quantum_core import PauliChannel
 
 MAX_SEED = 2**64 - 1
+
+# Pulses drawn and reduced at a time.  A chunk's draws take 1 MiB; on 4M
+# pulses 2**14 ran as fast as 2**16 and peaked 5 MB lower, and 2**18 and
+# above were slower.
+CHUNK_PULSES = 2**14
+
+# Columns of the per-pulse dump; ``eve_guess`` is empty without an attacker.
+DUMP_HEADER = ("lambda0", "lambda1", "x0", "x1", "y", "bob_bit", "sifted", "eve_guess")
 
 # Uniform variates consumed per pulse, in fixed column order, so a run
 # is reproducible across batch splits of the same seed.
@@ -65,20 +74,6 @@ class SimConfig:
         if not 0 <= self.seed <= MAX_SEED:
             raise ValidationError(f"seed={self.seed!r} outside [0, 2^64)")
         object.__setattr__(self, "attacker", Attacker(self.attacker))
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    """One pulse of the protocol transcript."""
-
-    lambda0: int
-    lambda1: int
-    x0: int
-    x1: int
-    y: int
-    bob_bit: int
-    sifted: bool
-    eve_guess: int | None = None
 
 
 @dataclass(frozen=True)
@@ -133,32 +128,13 @@ def _qber_with_error(n_errors: int, n_sifted: int) -> tuple[float, float]:
     return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n_sifted))
 
 
-def estimate_qber(records) -> tuple[float, float]:
-    """QBER over the sifted records, with its binomial standard error."""
-    sifted = [r for r in records if r.sifted]
-    if not sifted:
-        raise InsufficientDataError("no sifted records to estimate a QBER from")
-    errors = sum(1 for r in sifted if r.bob_bit != r.x0)
-    return _qber_with_error(errors, len(sifted))
+def _run_pulses(cfg: SimConfig, rng: np.random.Generator, k: int) -> dict:
+    """Draw and play out the next ``k`` pulses of the run's stream.
 
-
-@dataclass
-class _RawRun:
-    """Vectorized per-pulse arrays of one run."""
-
-    lambda0: np.ndarray
-    lambda1: np.ndarray
-    x0: np.ndarray
-    x1: np.ndarray
-    y: np.ndarray
-    bob_bit: np.ndarray
-    sifted: np.ndarray
-    eve_guess: np.ndarray | None
-
-
-def _run_pulses(cfg: SimConfig) -> _RawRun:
-    rng = np.random.default_rng(cfg.seed)
-    u = rng.random((cfg.n_pulses, _DRAWS_PER_PULSE))
+    Returns the pulses' columns by ``DUMP_HEADER`` name; ``eve_guess`` is
+    None without an attacker.
+    """
+    u = rng.random((k, _DRAWS_PER_PULSE))
     hv = cfg.hv
 
     lambda0 = (u[:, _COL_L0] >= hv.p_lambda0).astype(np.int8)
@@ -196,7 +172,36 @@ def _run_pulses(cfg: SimConfig) -> _RawRun:
         bob_bit = np.where(y == eve_basis, eve_guess, mismatch_bit).astype(np.int8)
 
     sifted = x1 == y
-    return _RawRun(lambda0, lambda1, x0, x1, y, bob_bit, sifted, eve_guess)
+    columns = (lambda0, lambda1, x0, x1, y, bob_bit, sifted, eve_guess)
+    return dict(zip(DUMP_HEADER, columns))
+
+
+def _tally(run: dict) -> np.ndarray:
+    """The chunk's counts: sifted, errors, rec, dia, rec errors, dia
+    errors, Eve agreements, ``x0 == 0`` and ``x1 == 0``."""
+    sifted, x0, x1, guess = run["sifted"], run["x0"], run["x1"], run["eve_guess"]
+    errors = (run["bob_bit"] != x0) & sifted
+    rec = sifted & (x1 == 0)
+    dia = sifted & (x1 == 1)
+    agree = False if guess is None else (guess == x0) & sifted
+    masks = (sifted, errors, rec, dia, errors & rec, errors & dia, agree, x0 == 0, x1 == 0)
+    return np.array([np.count_nonzero(mask) for mask in masks], dtype=np.int64)
+
+
+def _dump_rows(run: dict) -> str:
+    """The chunk's dump rows, built from the columns as one byte buffer.
+
+    Field i's digit sits at offset 2i with a comma after it, and the last
+    comma is the newline.  With no attacker the last field is empty, so
+    the row is one byte shorter and ends ",\n".
+    """
+    columns = [run[name] for name in DUMP_HEADER if run[name] is not None]
+    width = 2 * len(DUMP_HEADER) - (run["eve_guess"] is None)
+    buf = np.full((len(run["x0"]), width), ord(","), dtype=np.uint8)
+    for i, column in enumerate(columns):
+        buf[:, 2 * i] = column + ord("0")
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().decode("ascii")
 
 
 def _derive_rates(qber: float, hv: HiddenVariableModel, seed: int) -> dict | None:
@@ -216,67 +221,44 @@ def _derive_rates(qber: float, hv: HiddenVariableModel, seed: int) -> dict | Non
     }
 
 
-def simulate(cfg: SimConfig, collect_records: bool = False):
+def simulate(cfg: SimConfig, dump: TextIO | None = None) -> SimReport:
     """Run the protocol and aggregate a report; deterministic given the seed.
 
-    Returns the report, or ``(report, records)`` when ``collect_records``
-    is set.
+    Pulses are drawn and reduced ``CHUNK_PULSES`` at a time, so memory
+    does not grow with ``n_pulses``: only integer counts outlive a chunk.
+    When ``dump`` is a text handle, the ``DUMP_HEADER`` line and one CSV
+    row per pulse are written to it as the chunks go.  The dump is
+    therefore complete even when the run then raises
+    InsufficientDataError because no pulse was sifted.
     """
-    run = _run_pulses(cfg)
-    sifted = run.sifted
-    n_sifted = int(np.count_nonzero(sifted))
+    rng = np.random.default_rng(cfg.seed)
+    if dump is not None:
+        dump.write(",".join(DUMP_HEADER) + "\n")
+    totals = np.zeros(9, dtype=np.int64)
+    for start in range(0, cfg.n_pulses, CHUNK_PULSES):
+        run = _run_pulses(cfg, rng, min(CHUNK_PULSES, cfg.n_pulses - start))
+        totals += _tally(run)
+        if dump is not None:
+            dump.write(_dump_rows(run))
+    n_sifted, n_errors, n_rec, n_dia, rec_errors, dia_errors, agreements, x0_zero, x1_zero = (
+        int(count) for count in totals
+    )
     if n_sifted == 0:
         raise InsufficientDataError(
             f"no pulses survived sifting out of {cfg.n_pulses}"
         )
-    errors = (run.bob_bit != run.x0) & sifted
-    qber, std_error = _qber_with_error(int(np.count_nonzero(errors)), n_sifted)
-
-    rec_mask = sifted & (run.x1 == 0)
-    dia_mask = sifted & (run.x1 == 1)
-    n_rec = int(np.count_nonzero(rec_mask))
-    n_dia = int(np.count_nonzero(dia_mask))
-    qber_rec = (
-        float(np.count_nonzero(errors & rec_mask)) / n_rec if n_rec else None
-    )
-    qber_dia = (
-        float(np.count_nonzero(errors & dia_mask)) / n_dia if n_dia else None
-    )
-
-    if run.eve_guess is not None:
-        eve_agreement = float(np.count_nonzero((run.eve_guess == run.x0) & sifted)) / n_sifted
-    else:
-        eve_agreement = None
-
-    report = SimReport(
+    qber, std_error = _qber_with_error(n_errors, n_sifted)
+    return SimReport(
         n_pulses=cfg.n_pulses,
         seed=cfg.seed,
         sifted_count=n_sifted,
         qber_estimate=qber,
         qber_std_error=std_error,
         basis_counts=(n_rec, n_dia),
-        qber_rec=qber_rec,
-        qber_dia=qber_dia,
-        p_x0_zero_observed=float(np.count_nonzero(run.x0 == 0)) / cfg.n_pulses,
-        p_x1_zero_observed=float(np.count_nonzero(run.x1 == 0)) / cfg.n_pulses,
-        eve_agreement=eve_agreement,
+        qber_rec=rec_errors / n_rec if n_rec else None,
+        qber_dia=dia_errors / n_dia if n_dia else None,
+        p_x0_zero_observed=x0_zero / cfg.n_pulses,
+        p_x1_zero_observed=x1_zero / cfg.n_pulses,
+        eve_agreement=None if cfg.attacker is Attacker.NONE else agreements / n_sifted,
         derived_rates=_derive_rates(qber, cfg.hv, cfg.seed),
     )
-    if not collect_records:
-        return report
-
-    guesses = run.eve_guess
-    records = [
-        PulseRecord(
-            lambda0=int(run.lambda0[i]),
-            lambda1=int(run.lambda1[i]),
-            x0=int(run.x0[i]),
-            x1=int(run.x1[i]),
-            y=int(run.y[i]),
-            bob_bit=int(run.bob_bit[i]),
-            sifted=bool(sifted[i]),
-            eve_guess=None if guesses is None else int(guesses[i]),
-        )
-        for i in range(cfg.n_pulses)
-    ]
-    return report, records

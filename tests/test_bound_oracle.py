@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from bb84_weakrand import bound_oracle
 from bb84_weakrand.errors import ValidationError
 from bb84_weakrand.bound_oracle import (
+    MAX_SIMPLEX_ROWS,
     deviation_band,
     evaluate_cross_basis_point,
     evaluate_one_step_point,
@@ -55,6 +57,15 @@ class TestGrids:
         assert band[-1] == pytest.approx(0.6, abs=1e-15)
         assert len(band) == 21
         assert deviation_band(0.0, 5).tolist() == [0.5] * 5
+
+    def test_simplex_cap_rejects_before_building(self, monkeypatch):
+        assert math.comb(596 + 3, 3) <= MAX_SIMPLEX_ROWS < math.comb(597 + 3, 3)
+        with pytest.raises(ValidationError, match="above the cap"):
+            simplex_grid(597)
+        monkeypatch.setattr(bound_oracle, "MAX_SIMPLEX_ROWS", math.comb(5 + 3, 3))
+        assert len(simplex_grid(5)) == 56
+        with pytest.raises(ValidationError, match="above the cap"):
+            simplex_grid(6)
 
     def test_grid_res_minimum(self):
         with pytest.raises(ValidationError):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bb84_weakrand import cli
 from bb84_weakrand.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -162,6 +163,41 @@ class TestSweepCommand:
             proc = run_cli("sweep", "--qber", bad, "--dev", "0,0", "--method", "one-step")
             assert proc.returncode == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "bad", ["0:0.1:nan", "nan:0.1:0.01", "0:nan:0.01", "0:inf:0.1", "0:0.1:inf", "-inf:0.1:0.1"]
+    )
+    def test_non_finite_range_rejected(self, bad, capsys):
+        argv = ["sweep", f"--qber={bad}", "--dev", "0,0", "--method", "one-step"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_step_beyond_stop_emits_start_point(self, capsys):
+        argv = ["sweep", "--qber", "0.01:0.1:1e300", "--dev", "0,0", "--method", "one-step"]
+        assert main(argv) == EXIT_OK
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "qber,eps0,eps1,method,rate,rate_clamped"
+        assert len(rows) == 1
+        assert rows[0].startswith("0.01,0.0,0.0,one-step,")
+
+    @pytest.mark.parametrize("step", ["1e-12", "5e-324"])
+    def test_too_many_points_rejected_before_building(self, step, capsys):
+        argv = ["sweep", "--qber", f"0:0.5:{step}", "--dev", "0,0", "--method", "one-step"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "above the cap" in capsys.readouterr().err
+
+    def test_row_cap_counts_points_devs_and_methods(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 10)
+        five_points = ["sweep", "--qber", "0:0.05:0.01", "--method", "one-step"]
+        assert main([*five_points, "--dev", "0,0", "--dev", "0.1,0"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 10
+        assert main([*five_points, "--dev", "0,0", "--dev", "0.1,0", "--dev", "0,0.1"]) == (
+            EXIT_VALIDATION
+        )
+        assert main([*five_points, "--dev", "0,0", "--method", "one-step"]) == EXIT_OK
+        six_points = ["sweep", "--qber", "0:0.06:0.01", "--method", "one-step"]
+        assert main([*six_points, "--dev", "0,0", "--dev", "0.1,0"]) == EXIT_VALIDATION
+        capsys.readouterr()
+
 
 class TestVerifyCommand:
     def test_one_step_passes(self):
@@ -187,6 +223,11 @@ class TestVerifyCommand:
     def test_small_grid_rejected(self):
         proc = run_cli("verify", "--target", "one-step", "--grid", "2")
         assert proc.returncode == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("target", ["one-step", "cross-basis"])
+    def test_grid_above_cap_rejected(self, target, capsys):
+        assert main(["verify", "--target", target, "--grid", "1000"]) == EXIT_VALIDATION
+        assert "above the cap" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -249,6 +290,28 @@ class TestSimulateCommand:
         lines = dump.read_text().strip().split("\n")
         assert lines[0] == "lambda0,lambda1,x0,x1,y,bob_bit,sifted,eve_guess"
         assert len(lines) == 1 + 200
+
+    def test_dump_written_when_nothing_is_sifted(self, tmp_path, capsys):
+        """The dump is streamed, so it is complete even when the run exits 3."""
+        dump = tmp_path / "pulses.csv"
+        argv = [
+            "simulate", "--pulses", "100", "--seed", "5", "--bob-basis-prob", "1",
+            "--p-x1-l0", "0", "--p-x1-l1", "0", "--dump-pulses", str(dump),
+        ]
+        assert main(argv) == EXIT_INFEASIBLE
+        assert capsys.readouterr().out == ""
+        lines = dump.read_text().splitlines()
+        assert len(lines) == 1 + 100
+        assert {line.split(",")[6] for line in lines[1:]} == {"0"}
+
+    def test_dump_to_stdout_comes_before_the_report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["simulate", "--pulses", "50", "--seed", "5", "--dump-pulses", "-", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "lambda0,lambda1,x0,x1,y,bob_bit,sifted,eve_guess"
+        assert len(lines) == 1 + 50
+        assert json.loads(out.read_text())["result"]["n_pulses"] == 50
 
     def test_determinism_across_runs(self):
         first = run_cli("simulate", "--pulses", "3000", "--seed", "42")

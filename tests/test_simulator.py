@@ -1,13 +1,15 @@
 """Tests for the pulse-level protocol simulation."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
+from bb84_weakrand import simulator
 from bb84_weakrand.errors import InsufficientDataError, ValidationError
 from bb84_weakrand.keyrate import HiddenVariableModel
-from bb84_weakrand.output import canonical_json
+from bb84_weakrand.output import canonical_json, csv_text
 from bb84_weakrand.quantum_core import (
     PauliChannel,
     apply_channel,
@@ -15,11 +17,13 @@ from bb84_weakrand.quantum_core import (
     error_rates,
 )
 from bb84_weakrand.simulator import (
+    DUMP_HEADER,
     Attacker,
-    PulseRecord,
     SimConfig,
+    _qber_with_error,
+    _run_pulses,
+    _tally,
     basis_flip_probabilities,
-    estimate_qber,
     predicted_basis,
     simulate,
 )
@@ -36,6 +40,26 @@ def config(**overrides) -> SimConfig:
     )
     defaults.update(overrides)
     return SimConfig(**defaults)
+
+
+def dumped(cfg: SimConfig):
+    """(report, dump text) of one run."""
+    handle = io.StringIO()
+    report = simulate(cfg, handle)
+    return report, handle.getvalue()
+
+
+def dump_columns(text: str) -> dict[str, list[str]]:
+    """The dump's fields by column name, checking its header."""
+    header, *rows = text.splitlines()
+    assert header == ",".join(DUMP_HEADER)
+    return dict(zip(DUMP_HEADER, zip(*(row.split(",") for row in rows))))
+
+
+# No pulse is sifted: Bob always measures rectilinearly, Alice never does.
+NEVER_SIFTED = dict(
+    hv=HiddenVariableModel(0.5, 0.5, (0.5, 0.5), (0.0, 0.0)), bob_basis_prob=1.0
+)
 
 
 def three_sigma(p: float, n: int) -> float:
@@ -84,9 +108,12 @@ class TestDeterminism:
 
     def test_run_prefix_independent_of_length(self):
         """Per-pulse draws are consumed in fixed order, so runs share prefixes."""
-        _, long_records = simulate(config(n_pulses=400), collect_records=True)
-        _, short_records = simulate(config(n_pulses=150), collect_records=True)
-        assert long_records[:150] == short_records
+        attack = Attacker.INTERCEPT_RESEND_WITH_HINTS
+        _, long_dump = dumped(config(n_pulses=400, attacker=attack))
+        _, short_dump = dumped(config(n_pulses=150, attacker=attack))
+        long_lines = long_dump.splitlines(keepends=True)
+        assert len(long_lines) == 1 + 400
+        assert "".join(long_lines[: 1 + 150]) == short_dump
 
 
 class TestCleanChannel:
@@ -214,54 +241,84 @@ class TestAttacker:
 
 class TestEstimateQber:
     def test_all_correct(self):
-        records = [PulseRecord(0, 0, 1, 0, 0, 1, True) for _ in range(8)]
-        assert estimate_qber(records) == (0.0, 0.0)
+        assert _qber_with_error(0, 8) == (0.0, 0.0)
 
     def test_one_error_in_four(self):
-        records = [
-            PulseRecord(0, 0, 0, 0, 0, 1, True),
-            PulseRecord(0, 0, 0, 0, 0, 0, True),
-            PulseRecord(0, 0, 1, 0, 0, 1, True),
-            PulseRecord(0, 0, 1, 1, 1, 1, True),
-            PulseRecord(0, 0, 1, 0, 1, 0, False),  # unsifted, ignored
-        ]
-        p_hat, err = estimate_qber(records)
+        p_hat, err = _qber_with_error(1, 4)
         assert p_hat == 0.25
         assert err == pytest.approx(0.21650635094610966, abs=1e-12)
 
     def test_planted_error_pattern(self):
-        records = [
-            PulseRecord(0, 0, 0, 0, 0, 1 if i < 13 else 0, True) for i in range(100)
-        ]
-        p_hat, err = estimate_qber(records)
+        """Counts of planted columns: 13 errors in 100 sifted pulses, and
+        unsifted pulses whose errors are ignored."""
+        sifted = np.array([True] * 100 + [False] * 20)
+        x0 = np.zeros(120, dtype=np.int8)
+        bob_bit = np.array([1] * 13 + [0] * 87 + [1] * 20, dtype=np.int8)
+        x1 = np.array([0] * 60 + [1] * 40 + [0] * 20, dtype=np.int8)
+        eve_guess = np.array([0] * 90 + [1] * 30, dtype=np.int8)
+        columns = (x0, x0, x0, x1, x1, bob_bit, sifted, eve_guess)
+        counts = _tally(dict(zip(DUMP_HEADER, columns))).tolist()
+        # sifted, errors, rec, dia, rec errors, dia errors, Eve agreements,
+        # x0 == 0, x1 == 0
+        assert counts == [100, 13, 60, 40, 13, 0, 90, 120, 80]
+        p_hat, err = _qber_with_error(counts[1], counts[0])
         assert p_hat == pytest.approx(0.13, abs=1e-15)
         assert err == pytest.approx(0.03363034344160047, abs=1e-12)
 
     def test_no_sifted_records(self):
         with pytest.raises(InsufficientDataError):
-            estimate_qber([PulseRecord(0, 0, 0, 0, 1, 0, False)])
+            simulate(config(n_pulses=500, **NEVER_SIFTED))
 
     def test_agrees_with_report(self):
-        cfg = config(n_pulses=5000, channel=PauliChannel(0.9, 0.05, 0.03, 0.02))
-        report, records = simulate(cfg, collect_records=True)
-        p_hat, err = estimate_qber(records)
-        assert p_hat == pytest.approx(report.qber_estimate, abs=1e-15)
-        assert err == pytest.approx(report.qber_std_error, abs=1e-15)
+        """Every count of the report, recomputed from the dump's rows."""
+        cfg = config(
+            n_pulses=5000,
+            channel=PauliChannel(0.9, 0.05, 0.03, 0.02),
+            attacker=Attacker.INTERCEPT_RESEND_WITH_HINTS,
+        )
+        report, text = dumped(cfg)
+        cols = dump_columns(text)
+        sifted = [i for i, flag in enumerate(cols["sifted"]) if flag == "1"]
+        errors = [i for i in sifted if cols["bob_bit"][i] != cols["x0"][i]]
+        rec = [i for i in sifted if cols["x1"][i] == "0"]
+        p_hat, err = _qber_with_error(len(errors), len(sifted))
+        assert report.sifted_count == len(sifted)
+        assert (report.qber_estimate, report.qber_std_error) == (p_hat, err)
+        assert report.basis_counts == (len(rec), len(sifted) - len(rec))
+        assert report.qber_rec == len(set(errors) & set(rec)) / len(rec)
+        assert report.eve_agreement == sum(
+            cols["eve_guess"][i] == cols["x0"][i] for i in sifted
+        ) / len(sifted)
+        assert report.p_x0_zero_observed == cols["x0"].count("0") / 5000
+        assert report.p_x1_zero_observed == cols["x1"].count("0") / 5000
 
 
 class TestRecordsAndReport:
     def test_sifting_flag_matches_bases(self):
-        _, records = simulate(config(n_pulses=2000), collect_records=True)
-        for record in records:
-            assert record.sifted == (record.x1 == record.y)
-            assert record.eve_guess is None
+        _, text = dumped(config(n_pulses=2000))
+        cols = dump_columns(text)
+        assert cols["sifted"] == tuple(
+            str(int(x1 == y)) for x1, y in zip(cols["x1"], cols["y"])
+        )
+        assert set(cols["eve_guess"]) == {""}
+        assert set(cols["sifted"]) == {"0", "1"}
 
     def test_attacker_records_carry_guesses(self):
-        _, records = simulate(
-            config(n_pulses=500, attacker=Attacker.INTERCEPT_RESEND_WITH_HINTS),
-            collect_records=True,
+        """Over an identity channel with fair hidden variables Eve always
+        measures rectilinearly: she reads x0 exactly on rectilinear pulses,
+        and Bob reads her guess whenever he measures rectilinearly."""
+        _, text = dumped(
+            config(n_pulses=500, attacker=Attacker.INTERCEPT_RESEND_WITH_HINTS)
         )
-        assert all(record.eve_guess in (0, 1) for record in records)
+        cols = dump_columns(text)
+        assert set(cols["eve_guess"]) == {"0", "1"}
+        rows = list(zip(cols["x0"], cols["x1"], cols["y"], cols["bob_bit"], cols["eve_guess"]))
+        assert any(x1 == "1" for _, x1, _, _, _ in rows)
+        for x0, x1, y, bob_bit, guess in rows:
+            if x1 == "0":
+                assert guess == x0
+            if y == "0":
+                assert bob_bit == guess
 
     def test_basis_counts_partition_sifted(self):
         report = simulate(config(n_pulses=30000))
@@ -281,6 +338,54 @@ class TestRecordsAndReport:
         assert report.qber_rec == 1.0
         assert report.qber_dia == 1.0
         assert report.derived_rates is None
+
+
+class TestDump:
+    @pytest.mark.parametrize("attacker", list(Attacker))
+    def test_matches_csv_text_reference(self, attacker):
+        """The streamed dump equals ``csv_text`` over the pulse columns."""
+        cfg = config(
+            n_pulses=300,
+            hv=HiddenVariableModel(0.3, 0.6, (0.7, 0.4), (0.65, 0.45)),
+            channel=PauliChannel(0.85, 0.05, 0.06, 0.04),
+            bob_basis_prob=0.4,
+            attacker=attacker,
+        )
+        run = _run_pulses(cfg, np.random.default_rng(cfg.seed), cfg.n_pulses)
+        columns = [
+            [None] * cfg.n_pulses if run[name] is None else run[name].tolist()
+            for name in DUMP_HEADER
+        ]
+        rows = [list(row) for row in zip(*columns)]
+        _, text = dumped(cfg)
+        assert text == csv_text(list(DUMP_HEADER), rows)
+
+    @pytest.mark.parametrize(
+        "chunk, n_pulses",
+        [(1, 1000), (7, 1000), (simulator.CHUNK_PULSES, 2 * simulator.CHUNK_PULSES + 3)],
+    )
+    def test_chunk_size_does_not_change_bytes(self, chunk, n_pulses, monkeypatch):
+        """Any chunking gives the bytes of one draw for the whole run."""
+        cfg = config(
+            n_pulses=n_pulses,
+            hv=HiddenVariableModel(0.5, 0.5, (0.5, 0.5), (0.6, 0.4)),
+            channel=PauliChannel(0.95, 0.0, 0.05, 0.0),
+            attacker=Attacker.INTERCEPT_RESEND_WITH_HINTS,
+        )
+        monkeypatch.setattr(simulator, "CHUNK_PULSES", n_pulses)
+        reference_report, reference_dump = dumped(cfg)
+        monkeypatch.setattr(simulator, "CHUNK_PULSES", chunk)
+        report, dump = dumped(cfg)
+        assert dump == reference_dump
+        assert canonical_json(report.to_dict()) == canonical_json(reference_report.to_dict())
+
+    def test_written_when_nothing_is_sifted(self):
+        handle = io.StringIO()
+        with pytest.raises(InsufficientDataError):
+            simulate(config(n_pulses=300, **NEVER_SIFTED), handle)
+        cols = dump_columns(handle.getvalue())
+        assert len(cols["sifted"]) == 300
+        assert set(cols["sifted"]) == {"0"}
 
 
 class TestValidation:
