@@ -9,16 +9,17 @@ errors by their closed-form adversarial worst case.  A coarse
 deterministic grid seeds a handful of Nelder-Mead refinements;
 reproducibility is favoured over solver sophistication.
 
-The refinement is an in-package bounded Nelder-Mead on plain floats
-that repeats the steps of ``scipy.optimize.minimize(method="Nelder-Mead",
-bounds=...)`` (scipy 1.17) operation for operation, so it returns the
-same bits without depending on scipy.
+The refinement is an in-package bounded Nelder-Mead that repeats the
+steps of ``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)``
+(scipy 1.17) operation for operation, so it returns the same bits
+without depending on scipy.  It polishes every start of every problem
+in one lockstep batch over numpy arrays: :func:`solve_two_step_many`
+solves a whole sweep's problems together.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,12 +39,17 @@ from .keyrate import (
 PENALTY_BASE = 1e3
 PENALTY_CAP = 1e6
 DEGENERATE_AXIS_TOL = 1e-15
-# The grid scan holds about GRID_BYTES_PER_CELL bytes per cell at its peak
-# (points, mesh and the vectorised objective's temporaries; measured on
-# 10**5 to 16**5 cells).  MAX_GRID_CELLS keeps it within GRID_MEMORY_BUDGET.
+# MAX_GRID_CELLS keeps the grid scan within GRID_MEMORY_BUDGET at
+# GRID_BYTES_PER_CELL, the peak-memory slope of the unchunked scan (measured
+# on 10**5 to 16**5 cells).  The chunked scan holds about 55 B per cell (the
+# points and their values; measured on 10**5 to 18**5 cells), so the cap
+# is conservative.
 GRID_BYTES_PER_CELL = 290
 GRID_MEMORY_BUDGET = 4 * 2**30
 MAX_GRID_CELLS = GRID_MEMORY_BUDGET // GRID_BYTES_PER_CELL
+# Grid cells per objective call in the scan: small enough for the
+# objective's temporaries to stay in cache (measured fastest on 9**5 cells).
+GRID_CHUNK = 8192
 _TINY = 1e-15
 
 
@@ -53,8 +59,8 @@ class SolverOptions:
 
     The scan grid has ``grid_points`` to the power of the number of
     non-degenerate axes cells, at most ``MAX_GRID_CELLS`` (14,810,232: the
-    cells that fit a 4 GiB scan at about 290 B each, so up to 27 points on
-    each of the five two-step axes).  A larger grid is rejected with a
+    cells that fit a 4 GiB scan at 290 B each, the unchunked scan's slope,
+    so up to 27 points on each of the five two-step axes).  A larger grid is rejected with a
     ValidationError before any array is built.
     """
 
@@ -127,82 +133,136 @@ class OptimizationResult:
         }
 
 
-def _entropy_vec(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(x)
-    interior = (x > 0.0) & (x < 1.0)
-    xi = x[interior]
-    out[interior] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
+def _libm_log2(x: np.ndarray) -> np.ndarray:
+    """``math.log2`` of each entry of a contiguous 1-D array.
+
+    numpy's own log2 differs from the C library's in the last bit for
+    about 0.2 % of inputs, so the polish, which must repeat the plain-float
+    objective bit for bit, takes its logarithms from here.
+    """
+    return np.fromiter(map(math.log2, memoryview(x)), float, len(x))
+
+
+def _minus_entropy(x: np.ndarray, log2=np.log2) -> np.ndarray:
+    """``x log2 x + (1 - x) log2 (1 - x)`` of each entry, 0 outside (0, 1).
+
+    That is minus :func:`_entropy`, bit for bit: ``-x * log2(x) - (1 - x) *
+    log2(1 - x)`` only negates this sum, and ``1 - h_a - h_b`` is exactly
+    ``(1 + s_a) + s_b`` for ``s = -h``.
+    """
+    both = np.concatenate((x, 1.0 - x), axis=None)
+    if both.min() > 0.0:
+        terms = both * log2(both)
+        return (terms[: x.size] + terms[x.size:]).reshape(x.shape)
+    inside = (x > 0.0) & (x < 1.0)
+    out = np.zeros(x.shape)
+    if inside.any():
+        out[inside] = _minus_entropy(x[inside], log2)
     return out
 
 
-def _worst_phase_vec(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return np.where((lo <= 0.5) & (0.5 <= hi), 0.5, np.where(hi < 0.5, hi, lo))
+def _eliminate(numerator, weight, fallback):
+    """``numerator / weight`` as the scalar objective forms it.
+
+    Where ``weight < _TINY`` the quotient is ``fallback`` and the row is
+    charged ``abs(numerator)`` as penalty.  Returns ``(quotient, penalty)``,
+    the penalty None when no weight is that small.
+    """
+    if not weight.min() < _TINY:
+        return numerator / weight, None
+    small = weight < _TINY
+    quotient = numerator / np.where(small, 1.0, weight)
+    return np.where(small, fallback, quotient), np.where(small, np.abs(numerator), 0.0)
 
 
-def _reduced_objective_vec(problem: TwoStepProblem, points: np.ndarray) -> np.ndarray:
+def _reduced_objective_vec(points: np.ndarray, constants, log2=np.log2) -> np.ndarray:
     """Penalised rate at each row (p_lambda1, a0, e_b00, e_b01, e_b10).
 
     Feasible rows get the exact split-processing rate with worst-case
     phase errors; rows whose eliminated variables fall outside their own
     bounds get the rate at the clamped point plus a large finite penalty
     and the distance to feasibility.
-    """
-    p = points[:, 0]
-    a0 = points[:, 1]
-    e00 = points[:, 2]
-    e01 = points[:, 3]
-    e10 = points[:, 4]
-    q, rec_target, gap, band_lo, band_hi = problem.search_constants
 
-    penalty = np.zeros_like(p)
-    one_minus_p = 1.0 - p
-    collapsed = one_minus_p < _TINY
+    ``constants`` is a problem's ``search_constants``, or five arrays that
+    give each row its own problem's.  Every value repeats
+    :func:`_reduced_objective_scalar` operation for operation: the same
+    rounding steps in the same order, divisions by the same weights, and
+    clamps with the scalar's tie rules, signed zeros included (where a
+    numpy clamp stands in, the comment says why its ties give the same
+    bits).  So with ``log2=_libm_log2`` each value is the scalar's bit for
+    bit; the grid scan keeps numpy's faster ``log2``.
+    """
+    p, a0, _, e01, e10 = points.T
+    q, rec_target, gap, band_lo, band_hi = constants
+    size = len(p)
 
     # Eliminate the second basis probability via the observed basis balance.
-    a1 = np.where(collapsed, 0.5, (rec_target - p * a0) / np.maximum(one_minus_p, _TINY))
-    penalty += np.where(collapsed, np.abs(p * a0 - rec_target), 0.0)
-    penalty += np.maximum(band_lo - a1, 0.0) + np.maximum(a1 - band_hi, 0.0)
-    a1 = np.clip(a1, band_lo, band_hi)
-
-    p_rec1 = p * a0
-    p_rec2 = one_minus_p * a1
-    p_dia1 = p * (1.0 - a0)
-    p_dia2 = one_minus_p * (1.0 - a1)
+    one_minus_p = 1.0 - p
+    a1, collapsed = _eliminate(rec_target - p * a0, one_minus_p, 0.5)
+    # weights[h, s] is the weight of hidden value h on side s, where side 0
+    # is the rectilinear basis and side 1 the diagonal one.
+    weights = np.empty((2, 2, size))
+    weights[0, 0] = a0
+    # np.clip keeps the bound on a tie where the scalar keeps a1, the same
+    # bits: a1 is never -0.0 (a vanishing numerator is +0.0), nor is the band.
+    a1.clip(band_lo, band_hi, out=weights[1, 0])
+    band_gap = np.abs(a1 - weights[1, 0])
+    np.subtract(1.0, weights[:, 0], out=weights[:, 1])
+    weights[0] *= p
+    weights[1] *= one_minus_p
 
     # Eliminate the last bit error rate via the observed QBER.
-    residual = q - p_rec1 * e00 - p_rec2 * e10 - p_dia1 * e01
-    weightless = p_dia2 < _TINY
-    e11 = np.where(weightless, 0.0, residual / np.maximum(p_dia2, _TINY))
-    penalty += np.where(weightless, np.abs(residual), 0.0)
-    penalty += np.maximum(-e11, 0.0) + np.maximum(e11 - 1.0, 0.0)
-    e11 = np.clip(e11, 0.0, 1.0)
+    bits = weights[:, 0] * points[:, 2::2].T
+    residual = q - bits[0] - bits[1] - weights[0, 1] * e01
+    e11, weightless = _eliminate(residual, weights[1, 1], 0.0)
+    # rates[h, 0, s] is the bit error rate of hidden value h on side s;
+    # rates[h, 1] and rates[h, 2] are the low and high ends of the band that
+    # the cross-basis rate rates[h, 0, 1 - s] puts on its phase error.
+    rates = np.empty((2, 3, 2, size))
+    rates[0, 0] = points[:, 2:4].T
+    rates[1, 0, 0] = e10
+    # The scalar's clamp, which keeps e11 on a tie: -0.0 stays -0.0.
+    rates[1, 0, 1] = np.where(0.0 > e11, 0.0, np.where(1.0 < e11, 1.0, e11))
+    # The penalty is the distance to feasibility: the eliminated rates'
+    # distances to their bands, plus abs(numerator) where a weight vanishes.
+    # A zero penalty's sign never matters.
+    range_gap = np.abs(e11 - rates[1, 0, 1])
+    if collapsed is None and weightless is None:
+        penalty = band_gap + range_gap
+    else:
+        penalty = 0.0 if collapsed is None else collapsed
+        penalty = penalty + band_gap
+        if weightless is not None:
+            penalty = penalty + weightless
+        penalty = penalty + range_gap
+    cross = rates[:, 0, ::-1]
+    np.subtract(cross, gap, out=rates[:, 1])
+    np.copyto(rates[:, 1], 0.0, where=0.0 > rates[:, 1])
+    np.add(cross, gap, out=rates[:, 2])
+    np.copyto(rates[:, 2], 1.0, where=1.0 < rates[:, 2])
 
-    p_rec = p_rec1 + p_rec2
-    p_dia = p_dia1 + p_dia2
-    rec_safe = np.maximum(p_rec, _TINY)
-    dia_safe = np.maximum(p_dia, _TINY)
+    side = weights[0] + weights[1]
+    weighted = None if side.min() > 0.0 else side > 0.0
+    # errors[0] is each side's bit error rate, errors[1:] its phase band.
+    products = weights[:, None] * rates
+    errors = np.add(products[0], products[1], out=products[0])
+    errors /= side if weighted is None else np.where(weighted, side, 1.0)
+    # Adversarial phase errors: the weighted cross-basis band point nearest
+    # 1/2, ``0.5 if lo <= 0.5 <= hi else (hi if hi < 0.5 else lo)``.  As
+    # lo <= hi, that is 1/2 clamped to [lo, hi]; a tie is with 0.5 itself.
+    np.maximum(errors[1], 0.5, out=errors[1])
+    np.minimum(errors[1], errors[2], out=errors[1])
 
-    e_recbit = (p_rec1 * e00 + p_rec2 * e10) / rec_safe
-    e_diabit = (p_dia1 * e01 + p_dia2 * e11) / dia_safe
-
-    # Adversarial phase errors: the weighted cross-basis band point nearest 1/2.
-    rec_lo = (p_rec1 * np.maximum(e01 - gap, 0.0) + p_rec2 * np.maximum(e11 - gap, 0.0)) / rec_safe
-    rec_hi = (p_rec1 * np.minimum(e01 + gap, 1.0) + p_rec2 * np.minimum(e11 + gap, 1.0)) / rec_safe
-    dia_lo = (p_dia1 * np.maximum(e00 - gap, 0.0) + p_dia2 * np.maximum(e10 - gap, 0.0)) / dia_safe
-    dia_hi = (p_dia1 * np.minimum(e00 + gap, 1.0) + p_dia2 * np.minimum(e10 + gap, 1.0)) / dia_safe
-    e_recpha = _worst_phase_vec(rec_lo, rec_hi)
-    e_diapha = _worst_phase_vec(dia_lo, dia_hi)
-
-    rec_term = np.where(
-        p_rec > 0.0, p_rec * (1.0 - _entropy_vec(e_recbit) - _entropy_vec(e_recpha)), 0.0
-    )
-    dia_term = np.where(
-        p_dia > 0.0, p_dia * (1.0 - _entropy_vec(e_diabit) - _entropy_vec(e_diapha)), 0.0
-    )
-    rate = rec_term + dia_term
-    penalty = np.minimum(penalty, PENALTY_CAP)
-    return np.where(penalty > 0.0, rate + PENALTY_BASE + penalty, rate)
+    s_bit, s_pha = _minus_entropy(errors[:2], log2)
+    terms = side * (1.0 + s_bit + s_pha)
+    if weighted is not None:
+        terms = np.where(weighted, terms, 0.0)
+    rate = terms[0] + terms[1]
+    if not penalty.max() > 0.0:
+        return rate
+    # A positive penalty and its cap are never zero, so np.minimum's ties
+    # are exact.
+    return np.where(penalty > 0.0, rate + PENALTY_BASE + np.minimum(penalty, PENALTY_CAP), rate)
 
 
 def _entropy(x: float) -> float:
@@ -293,182 +353,330 @@ def _grid_axes(bounds: list[tuple[float, float]], grid_points: int) -> list[np.n
 
 
 def _grid_points_array(axes: list[np.ndarray]) -> np.ndarray:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    """Every combination of the axis values, one row each, last axis fastest."""
+    grid = np.empty([len(axis) for axis in axes] + [len(axes)])
+    for i, axis in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[i] = len(axis)
+        grid[..., i] = axis.reshape(shape)
+    return grid.reshape(-1, len(axes))
+
+
+def _smallest(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` smallest values, ties in index order.
+
+    The first ``count`` entries of ``np.argsort(values, kind="stable")``,
+    without sorting every value: NaN sorts last there and is kept here.
+    """
+    kth = np.partition(values, count - 1)[count - 1]
+    candidates = np.flatnonzero(~(values > kth))
+    return candidates[np.argsort(values[candidates], kind="stable")[:count]]
 
 
 # Initial-simplex steps of scipy's Nelder-Mead: 5 % of a nonzero coordinate,
 # an absolute step for a zero one.
 _NONZDELT = 0.05
 _ZDELT = 0.00025
+# The trial points of a Nelder-Mead step (reflection 1, expansion 2,
+# contraction 1/2) as MOVE_A * centroid + MOVE_B * worst vertex, in the
+# order reflection, expansion, outside and inside contraction.  Adding a
+# negated product is the subtraction scipy does, bit for bit.
+_MOVE_A = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
+_MOVE_B = np.array([-1.0, -2.0, -0.5, 0.5])[:, None, None]
+_REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _SHRINK = range(5)
 
 
-def _clip(x: list[float], lower: list[float], upper: list[float]) -> list[float]:
-    """``np.clip`` of 1-D arrays: max then min, the first operand kept on ties."""
-    return [m if (m := v if v > lo else lo) < hi else hi for v, lo, hi in zip(x, lower, upper)]
+class _Simplices:
+    """Nelder-Mead simplices, one per start, over the same free axes.
 
-
-def _converged(sim, fsim, xatol, fatol) -> bool:
-    """scipy's stop test: every vertex within ``xatol`` and ``fatol`` of the best."""
-    best, f_best = sim[0], fsim[0]
-    for f in fsim[1:]:
-        if not abs(f_best - f) <= fatol:
-            return False
-    for x in sim[1:]:
-        for v, b in zip(x, best):
-            if not abs(v - b) <= xatol:
-                return False
-    return True
-
-
-def _nelder_mead(func, x0, lower, upper, max_iterations, fatol, xatol):
-    """Bounded Nelder-Mead on plain floats; returns ``(x, func(x), iterations)``.
-
-    Repeats ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
-    bounds=list(zip(lower, upper)), options={"maxiter": max_iterations,
-    "fatol": fatol, "xatol": xatol})`` of scipy 1.17 operation for
-    operation: the same IEEE steps in the same order, the same clipping
-    and the same tie rules, so the result and the iteration count are bit
-    for bit scipy's.  Coefficients are scipy's defaults:
-    reflection 1, expansion 2, contraction and shrink 1/2.  ``func`` gets
-    a list of floats it must not modify.
+    ``sim[v, r]`` is vertex ``v`` of row ``r`` over its free axes, best
+    first, and ``fsim[v, r]`` its objective value.
     """
-    n = len(x0)
-    best = _clip(x0, lower, upper)
-    sim = [best]
-    for k in range(n):
-        vertex = list(best)
-        vertex[k] = (1 + _NONZDELT) * vertex[k] if vertex[k] != 0 else _ZDELT
-        sim.append(vertex)
-    # Steps that overshoot an upper bound are reflected inside, then clipped.
-    sim = [
-        _clip([2 * hi - v if v > hi else v for v, hi in zip(x, upper)], lower, upper)
-        for x in sim
-    ]
-    fsim = [func(x) for x in sim]
-    for _ in range(2):  # scipy sorts the initial simplex twice
+
+    def __init__(self, rows, free, starts, labels, lower, upper):
+        self.free = free
+        self.whole = len(free) == starts.shape[1]
+        self.base = starts[rows]
+        self.labels = labels[rows]
+        self.lower = lower[rows][:, free]
+        self.upper = upper[rows][:, free]
+        self._set_rows(rows)
+        n = len(free)
+        # ndarray.clip is np.clip, whose rule scipy's bounds follow: the
+        # bound wins a tie, so a zero bound turns -0.0 into 0.0.
+        best = self.base[:, free].clip(self.lower, self.upper)
+        sim = np.repeat(best[None], n + 1, axis=0)
+        axes = np.arange(n)
+        sim[axes + 1, :, axes] = np.where(best != 0, (1 + _NONZDELT) * best, _ZDELT).T
+        # Steps that overshoot an upper bound are reflected inside, then clipped.
+        sim = np.where(sim > self.upper, 2 * self.upper - sim, sim)
+        self.sim = sim.clip(self.lower, self.upper)
+        self.fsim = None
+
+    def _set_rows(self, rows):
+        self.rows = rows
+        self.trial_labels = np.tile(self.labels, len(_MOVE_A))
+        self.index = np.arange(len(rows))
+        if not self.whole:
+            # The trial points as full points; each step refills the free axes.
+            self.trials_full = np.repeat(self.base[None], len(_MOVE_A), axis=0)
+
+    def keep(self, mask):
+        for name in ("base", "labels", "lower", "upper"):
+            setattr(self, name, getattr(self, name)[mask])
+        self.sim = self.sim[:, mask]
+        self.fsim = self.fsim[:, mask]
+        self._set_rows(self.rows[mask])
+
+    def points(self, x, base):
+        """Full points: ``x`` on the free axes, ``base`` elsewhere."""
+        if self.whole:
+            return x
+        full = np.empty(x.shape[:-1] + base.shape[-1:])
+        full[...] = base
+        full[..., self.free] = x
+        return full
+
+    def sort(self):
         # np.argsort is not stable, and the tied vertex it puts first steers
-        # the simplex, so ties must go through it as in scipy.
-        order = np.argsort(fsim).tolist()
-        sim = [sim[i] for i in order]
-        fsim = [fsim[i] for i in order]
+        # the simplex, so ties go through it as in scipy; each row's
+        # vertices are ordered as a 1-D argsort of their values would order
+        # them.
+        order = np.argsort(self.fsim, axis=0)
+        self.sim = self.sim[order, self.index]
+        self.fsim = self.fsim[order, self.index]
 
-    iterations = 1
-    while iterations < max_iterations:
-        best, f_best = sim[0], fsim[0]
-        if _converged(sim, fsim, xatol, fatol):
-            break
-        # Left-to-right column sums, as np.add.reduce(sim[:-1], 0).
-        total = best
-        for x in sim[1:-1]:
-            total = map(operator.add, total, x)
-        xbar = [t / n for t in total]
-        worst = sim[-1]
-        xr = _clip([2 * b - w for b, w in zip(xbar, worst)], lower, upper)
-        fxr = func(xr)
-        shrink = False
-        if fxr < f_best:
-            xe = _clip([3 * b - 2 * w for b, w in zip(xbar, worst)], lower, upper)
-            fxe = func(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = _clip([1.5 * b - 0.5 * w for b, w in zip(xbar, worst)], lower, upper)
-            fxc = func(xc)
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
-        else:
-            xcc = _clip([0.5 * b + 0.5 * w for b, w in zip(xbar, worst)], lower, upper)
-            fxcc = func(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                sim[j] = _clip([b + 0.5 * (v - b) for b, v in zip(best, sim[j])], lower, upper)
-                fsim[j] = func(sim[j])
-        iterations += 1
-        order = np.argsort(fsim).tolist()
-        sim = [sim[i] for i in order]
-        fsim = [fsim[i] for i in order]
-    return sim[0], fsim[0], iterations
+    def converged(self, xatol, fatol):
+        """scipy's stop test per row, or None when no row meets it.
 
+        The values are sorted, NaN last, so ``max(abs(fsim[0] - fsim[1:]))``
+        is ``fsim[-1] - fsim[0]``.
+        """
+        sim, fsim = self.sim, self.fsim
+        done = fsim[-1] - fsim[0] <= fatol
+        if done.any():
+            done &= (np.abs(sim[1:] - sim[0]) <= xatol).all(axis=(0, 2))
+            if done.any():
+                return done
+        return None
 
-def _refine(objective, start, bounds, opts):
-    """Nelder-Mead polish of one start, with degenerate axes held fixed.
+    def trial_points(self):
+        """Reflection, expansion and both contractions of every row, clipped.
 
-    ``objective`` takes the full point as a list of floats.
-    """
-    point = [float(v) for v in start]
-    free = [i for i, (lo, hi) in enumerate(bounds) if hi - lo > DEGENERATE_AXIS_TOL]
-    iterations = 0
-    if free:
-        def reduced(x):
-            full = point[:]
-            for i, v in zip(free, x):
-                full[i] = v
-            return objective(full)
+        Returns them over the free axes and as full points.
+        """
+        sim = self.sim
+        # np.add.reduce over the vertex axis adds the vertices left to
+        # right, as scipy's np.add.reduce(sim[:-1], 0) does.
+        centroid = np.add.reduce(sim[:-1], axis=0) / len(self.free)
+        trials = (_MOVE_A * centroid + _MOVE_B * sim[-1]).clip(self.lower, self.upper)
+        if self.whole:
+            return trials, trials
+        self.trials_full[..., self.free] = trials
+        return trials, self.trials_full
 
-        x, _, iterations = _nelder_mead(
-            reduced,
-            [point[i] for i in free],
-            [bounds[i][0] for i in free],
-            [bounds[i][1] for i in free],
-            opts.max_iterations,
-            opts.objective_tol,
-            opts.variable_tol,
+    def replace_worst(self, trials, values):
+        """scipy's choice among the trial points, given all their values.
+
+        The worst vertex of each row takes the trial point scipy would
+        keep.  Returns the indices of the rows that shrink instead, and
+        their shrunk vertices 1..n, whose values go to :meth:`set_shrunk`;
+        ``shrunk`` is None when no row shrinks.
+        """
+        sim, fsim = self.sim, self.fsim
+        f_reflect, f_expand, f_outside, f_inside = values
+        f_worst = fsim[-1]
+        expand = f_reflect < fsim[0]
+        move = np.where(
+            expand | (f_reflect < fsim[-2]),
+            expand & (f_expand < f_reflect),  # True is _EXPAND, False _REFLECT
+            np.where(
+                f_reflect < f_worst,
+                np.where(f_outside <= f_reflect, _OUTSIDE, _SHRINK),
+                np.where(f_inside < f_worst, _INSIDE, _SHRINK),
+            ),
         )
-        for i, v in zip(free, x):
-            point[i] = v
-    return np.array(point), float(objective(point)), iterations
+        shrink = move == _SHRINK
+        shrunk = None
+        if shrink.any():
+            shrink = np.flatnonzero(shrink)
+            best = sim[0, shrink]
+            shrunk = (best + 0.5 * (sim[1:, shrink] - best)).clip(
+                self.lower[shrink], self.upper[shrink]
+            )
+            move[shrink] = _REFLECT  # overwritten by set_shrunk
+        sim[-1] = trials[move, self.index]
+        fsim[-1] = values[move, self.index]
+        return shrink, shrunk
+
+    def set_shrunk(self, shrink, shrunk, values):
+        self.sim[1:, shrink] = shrunk
+        self.fsim[1:, shrink] = values
 
 
-def _box_search(objective, bounds, opts, vectorized=None):
-    """Grid scan plus simplex refinement; returns (point, value, report).
+def _refine(objective, starts, labels, lower, upper, opts):
+    """Nelder-Mead polish of many starts at once, degenerate axes held fixed.
 
-    ``objective`` takes a point as a sequence of floats: a grid row when
-    ``vectorized`` is not given, a list during refinement.
+    Each row of ``starts`` (full points, with their own ``lower`` and
+    ``upper`` bounds) follows ``scipy.optimize.minimize(method=
+    "Nelder-Mead", bounds=...)`` of scipy 1.17 over its free axes, with
+    ``opts.max_iterations``, ``opts.objective_tol`` and
+    ``opts.variable_tol`` as ``maxiter``, ``fatol`` and ``xatol``.  Every
+    IEEE step, clip and tie rule is scipy's, so each row ends on scipy's
+    bits and iteration count.
+
+    The rows run in lockstep.  Each step evaluates the reflection,
+    expansion and both contractions of every active row in one call
+    ``objective(points, labels)``, which gets full points and, for each,
+    the entry of ``labels`` for the row it belongs to; it must be pure, so
+    that the evaluations scipy would skip change nothing.  Shrunk vertices go in a second call, only
+    when some row shrinks.  A row leaves the batch when it meets scipy's
+    stop test or reaches ``opts.max_iterations``.  Returns ``(points,
+    values, iterations)``, one entry per row; a row with no free axis
+    keeps its start and gets 0 iterations.
     """
-    axes = _grid_axes(bounds, opts.grid_points)
-    points = _grid_points_array(axes)
-    if vectorized is not None:
-        values = np.asarray(vectorized(points), dtype=float)
-    else:
-        values = np.array([objective(row) for row in points], dtype=float)
+    n_rows, dim = starts.shape
+    points = starts.copy()
+    values = np.empty(n_rows)
+    iterations = np.zeros(n_rows, dtype=int)
+    if n_rows == 0:
+        return points, values, iterations
 
-    # Grid enumeration is lexicographic, so a stable sort makes tie-breaking
-    # on the best cells deterministic.
-    order = np.argsort(values, kind="stable")
-    best_idx = order[0]
-    best_point = points[best_idx].copy()
-    best_value = float(values[best_idx])
-    trace = [best_value]
+    def evaluate(parts):
+        """One objective call for several ``(points, labels)`` pairs."""
+        if len(parts) == 1:
+            x, tags = parts[0]
+            return [objective(x.reshape(-1, dim), tags.ravel()).reshape(x.shape[:-1])]
+        out = objective(
+            np.concatenate([x.reshape(-1, dim) for x, _ in parts]),
+            np.concatenate([tags.ravel() for _, tags in parts]),
+        )
+        ends = np.cumsum([tags.size for _, tags in parts])
+        return [v.reshape(x.shape[:-1]) for v, (x, _) in zip(np.split(out, ends[:-1]), parts)]
 
-    total_iterations = 0
-    n_starts = min(opts.refine_starts, len(points))
-    for idx in order[:n_starts]:
-        point, value, iterations = _refine(objective, points[idx], bounds, opts)
-        total_iterations += iterations
-        if value < best_value or (
-            value == best_value and tuple(point) < tuple(best_point)
-        ):
-            best_value = value
-            best_point = point
-        trace.append(best_value)
+    def finish(group, done, count):
+        rows = group.rows[done]
+        points[rows] = group.points(group.sim[0, done], group.base[done])
+        values[rows] = group.fsim[0, done]
+        iterations[rows] = count
 
-    report = {
-        "grid_points_per_axis": opts.grid_points,
-        "grid_evaluations": int(len(points)),
-        "restarts": int(n_starts),
-        "iterations": int(total_iterations),
-        "best_objective_trace": [float(v) for v in trace],
-        "seed": int(opts.seed),
-    }
-    return best_point, best_value, report
+    by_axes = {}
+    for row, mask in enumerate(((upper - lower) > DEGENERATE_AXIS_TOL).tolist()):
+        by_axes.setdefault(tuple(mask), []).append(row)
+    groups, fixed = [], []
+    for mask, rows in by_axes.items():
+        if any(mask):
+            groups.append(
+                _Simplices(np.array(rows), np.flatnonzero(mask), starts, labels, lower, upper)
+            )
+        else:
+            fixed += rows
+    fixed = np.array(fixed, dtype=int)
+
+    # One call for every initial simplex and every start with no free axis.
+    *initial, values[fixed] = evaluate(
+        [(g.points(g.sim, g.base), np.broadcast_to(g.labels, g.sim.shape[:2])) for g in groups]
+        + [(starts[fixed], labels[fixed])]
+    )
+    for group, fsim in zip(groups, initial):
+        group.fsim = fsim
+        group.sort()  # scipy sorts the initial simplex twice
+        group.sort()
+
+    count = 1
+    while count < opts.max_iterations and groups:
+        finished = False
+        for group in groups:
+            done = group.converged(opts.variable_tol, opts.objective_tol)
+            if done is not None:
+                finish(group, done, count)
+                group.keep(~done)
+                finished = True
+        if finished:
+            groups = [group for group in groups if len(group.rows)]
+            if not groups:
+                break
+        trials = [group.trial_points() for group in groups]
+        trial_values = evaluate([(full, g.trial_labels) for g, (_, full) in zip(groups, trials)])
+        shrinking = []
+        for group, (t, _), v in zip(groups, trials, trial_values):
+            shrink, shrunk = group.replace_worst(t, v)
+            if shrunk is not None:
+                shrinking.append((group, shrink, shrunk))
+        if shrinking:
+            shrunk_values = evaluate(
+                [
+                    (g.points(x, g.base[s]), np.broadcast_to(g.labels[s], x.shape[:2]))
+                    for g, s, x in shrinking
+                ]
+            )
+            for (group, shrink, shrunk), v in zip(shrinking, shrunk_values):
+                group.set_shrunk(shrink, shrunk, v)
+        for group in groups:
+            group.sort()
+        count += 1
+    for group in groups:
+        finish(group, group.index >= 0, count)
+    return points, values, iterations
+
+
+def _box_search(scan, polish, boxes, opts):
+    """Grid scan of every box, then one lockstep polish of all their starts.
+
+    ``boxes`` lists each box's bounds.  ``scan(i, points)`` gives box
+    ``i``'s objective at an array of its grid points; ``polish(points,
+    owners)`` gives, at each full point, the objective of the box listed
+    for it in ``owners``.  Each box keeps the best cell of its grid and
+    polishes its ``opts.refine_starts`` best cells.  Returns one
+    ``(point, value, report)`` per box, in order.
+    """
+    seeds, starts = [], []
+    for i, bounds in enumerate(boxes):
+        points = _grid_points_array(_grid_axes(bounds, opts.grid_points))
+        values = np.concatenate(
+            [scan(i, points[j:j + GRID_CHUNK]) for j in range(0, len(points), GRID_CHUNK)]
+        )
+        # Grid enumeration is lexicographic, so breaking ties by index makes
+        # the choice of the best cells deterministic.
+        n_starts = min(opts.refine_starts, len(points))
+        order = _smallest(values, max(n_starts, 1))
+        starts.append(points[order[:n_starts]])
+        seeds.append((points[order[0]].copy(), float(values[order[0]]), len(points), n_starts))
+        del points, values  # one grid at a time
+
+    owners = np.repeat(np.arange(len(boxes)), [seed[3] for seed in seeds])
+    box = np.array(boxes, dtype=float)
+    polished, polished_values, polish_iterations = _refine(
+        polish,
+        np.concatenate(starts),
+        owners,
+        box[owners, :, 0],
+        box[owners, :, 1],
+        opts,
+    )
+
+    searches, first = [], 0
+    for best_point, best_value, n_points, n_starts in seeds:
+        trace = [best_value]
+        for row in range(first, first + n_starts):
+            point, value = polished[row], float(polished_values[row])
+            if value < best_value or (
+                value == best_value and tuple(point) < tuple(best_point)
+            ):
+                best_value = value
+                best_point = point
+            trace.append(best_value)
+        report = {
+            "grid_points_per_axis": opts.grid_points,
+            "grid_evaluations": int(n_points),
+            "restarts": int(n_starts),
+            "iterations": int(polish_iterations[first:first + n_starts].sum()),
+            "best_objective_trace": [float(v) for v in trace],
+            "seed": int(opts.seed),
+        }
+        searches.append((best_point, best_value, report))
+        first += n_starts
+    return searches
 
 
 def minimize_box(objective, bounds, opts: SolverOptions | None = None):
@@ -476,12 +684,16 @@ def minimize_box(objective, bounds, opts: SolverOptions | None = None):
 
     Scans a uniform grid (``opts.grid_points`` per non-degenerate axis),
     then polishes the best ``opts.refine_starts`` cells with Nelder-Mead.
-    ``objective`` takes a point as a sequence of floats.  Returns
+    ``objective`` takes a point as a list of floats.  Returns
     ``(point, value)``; identical inputs give identical output.
     """
     opts = opts or SolverOptions()
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    point, value, _ = _box_search(objective, bounds, opts)
+
+    def values(points, _owners=None):
+        return np.array([objective(row) for row in points.tolist()], dtype=float)
+
+    [(point, value, _)] = _box_search(lambda _box, points: values(points), values, [bounds], opts)
     return point, value
 
 
@@ -577,37 +789,59 @@ def constraint_residuals(problem: TwoStepProblem, scenario: TwoStepScenario) -> 
     return res
 
 
+def solve_two_step_many(
+    problems, opts: SolverOptions | None = None
+) -> list[OptimizationResult]:
+    """Worst-case split-processing rates of several problems, in input order.
+
+    Each problem's reduced five-variable box is scanned on its own grid;
+    then the refinement starts of all problems are polished together in
+    one lockstep batch, which gives every problem the same bits as
+    solving it alone.  Each minimizer's eliminated variables are
+    reconstructed and it is re-evaluated through the exact scenario
+    calculator, so the reported rate and the reported scenario cannot
+    drift apart.  The first infeasible problem raises InfeasibilityError.
+    """
+    opts = opts or SolverOptions()
+    problems = list(problems)
+    if not problems:
+        return []
+    constants = [problem.search_constants for problem in problems]
+    table = np.array(constants).T
+    boxes = [
+        [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+        for *_, band_lo, band_hi in constants
+    ]
+
+    def scan(box, points):
+        return _reduced_objective_vec(points, constants[box])
+
+    def polish(points, owners):
+        return _reduced_objective_vec(points, table[:, owners], _libm_log2)
+
+    results = []
+    for problem, (point, value, report) in zip(problems, _box_search(scan, polish, boxes, opts)):
+        if value >= PENALTY_BASE:
+            raise InfeasibilityError(
+                f"no feasible eavesdropper strategy found for Q={problem.q_target!r}",
+                residual=value - PENALTY_BASE,
+            )
+        scenario = _reconstruct_scenario(problem, point)
+        min_rate = evaluate_two_step_scenario(scenario, problem.dev, use_worst_phase=True)
+        residuals = constraint_residuals(problem, scenario)
+        report["feasibility_residual"] = max(residuals.values())
+        report["one_step_delta"] = one_step_delta(problem.dev)
+        results.append(
+            OptimizationResult(min_rate=min_rate, argmin=scenario, solver_report=report)
+        )
+    return results
+
+
 def solve_two_step(
     problem: TwoStepProblem, opts: SolverOptions | None = None
 ) -> OptimizationResult:
     """Worst-case split-processing rate compatible with the observations.
 
-    Searches the reduced five-variable box, reconstructs the eliminated
-    variables for the minimizer, and re-evaluates it through the exact
-    scenario calculator so the reported rate and the reported scenario
-    cannot drift apart.
+    The one-problem case of :func:`solve_two_step_many`.
     """
-    opts = opts or SolverOptions()
-    _, _, _, band_lo, band_hi = problem.search_constants
-    bounds = [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
-
-    def scalar(v: list[float]) -> float:
-        return _reduced_objective_scalar(problem, *v)
-
-    def vectorized(points: np.ndarray) -> np.ndarray:
-        return _reduced_objective_vec(problem, points)
-
-    point, value, report = _box_search(scalar, bounds, opts, vectorized=vectorized)
-
-    if value >= PENALTY_BASE:
-        raise InfeasibilityError(
-            f"no feasible eavesdropper strategy found for Q={problem.q_target!r}",
-            residual=value - PENALTY_BASE,
-        )
-
-    scenario = _reconstruct_scenario(problem, point)
-    min_rate = evaluate_two_step_scenario(scenario, problem.dev, use_worst_phase=True)
-    residuals = constraint_residuals(problem, scenario)
-    report["feasibility_residual"] = max(residuals.values())
-    report["one_step_delta"] = one_step_delta(problem.dev)
-    return OptimizationResult(min_rate=min_rate, argmin=scenario, solver_report=report)
+    return solve_two_step_many([problem], opts)[0]

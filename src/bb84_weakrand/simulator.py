@@ -73,7 +73,14 @@ class SimConfig:
             )
         if not 0 <= self.seed <= MAX_SEED:
             raise ValidationError(f"seed={self.seed!r} outside [0, 2^64)")
-        object.__setattr__(self, "attacker", Attacker(self.attacker))
+        try:
+            attacker = Attacker(self.attacker)
+        except ValueError:
+            raise ValidationError(
+                f"attacker={self.attacker!r} is not one of: "
+                + ", ".join(member.value for member in Attacker)
+            ) from None
+        object.__setattr__(self, "attacker", attacker)
 
 
 @dataclass(frozen=True)

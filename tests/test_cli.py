@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via subprocesses."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,11 @@ from bb84_weakrand.cli import (
     main,
 )
 from bb84_weakrand.output import canonical_json, checksum_of
+
+
+# sha256 of the curves sweep CSV (the benchmark's `curves` workload, seed 1),
+# as the per-point solver wrote it before sweeps were batched.
+CURVES_SHA256 = "78e9c69bb26453ca72342548f0554741296381d789fb24754afd971ea35f1e64"
 
 
 def run_cli(*args, **kwargs):
@@ -59,6 +65,23 @@ class TestRateCommand:
         doc = json.loads(proc.stdout)
         assert "rate" in doc["result"]["min_rate"]
         assert doc["result"]["solver_report"]["restarts"] == 3
+
+    @pytest.mark.parametrize("block", [1, 7, cli.SOLVE_BLOCK])
+    def test_two_step_points_solved_in_blocks(self, block, tmp_path, monkeypatch):
+        """The benchmark's curves sweep gives the same bytes for any block size.
+
+        With one problem per block every point is solved alone, as
+        ``solve_two_step`` does; 36 points in 7s end on a partial block.
+        """
+        assert cli.SOLVE_BLOCK >= 36
+        monkeypatch.setattr(cli, "SOLVE_BLOCK", block)
+        out = tmp_path / "curves.csv"
+        args = ["sweep", "--qber", "0:0.12:0.01", "--dev", "0,0", "--dev", "0,0.1",
+                "--dev", "0.1,0.1", "--method", "one-step", "--method", "two-step",
+                "--seed", "1", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == CURVES_SHA256
 
     def test_two_step_requires_seed(self):
         proc = run_cli("rate", "--method", "two-step", "--qber", "0.02")
@@ -271,6 +294,13 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--config", str(cfg))
         assert proc.returncode == EXIT_VALIDATION
         assert "bogus" in proc.stderr
+
+    def test_unknown_attacker_in_config_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pulses=100\nseed=1\nattacker=eve\n")
+        proc = run_cli("simulate", "--config", str(cfg))
+        assert proc.returncode == EXIT_VALIDATION
+        assert "'eve'" in proc.stderr and "intercept-resend-with-hints" in proc.stderr
 
     def test_malformed_config_value_named(self, tmp_path):
         cfg = tmp_path / "run.cfg"

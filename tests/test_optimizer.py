@@ -5,8 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from nelder_mead_reference import clip, nelder_mead
+
 from bb84_weakrand import optimizer
-from bb84_weakrand.errors import ValidationError
+from bb84_weakrand.errors import InfeasibilityError, ValidationError
 from bb84_weakrand.keyrate import (
     DeviationParams,
     HiddenVariableModel,
@@ -17,18 +19,21 @@ from bb84_weakrand.keyrate import (
 from bb84_weakrand.optimizer import (
     DEGENERATE_AXIS_TOL,
     MAX_GRID_CELLS,
+    PENALTY_BASE,
     SolverOptions,
     TwoStepProblem,
-    _clip,
     _grid_axes,
     _grid_points_array,
-    _nelder_mead,
+    _libm_log2,
     _reduced_objective_scalar,
     _reduced_objective_vec,
     _reconstruct_scenario,
+    _refine,
+    _smallest,
     constraint_residuals,
     minimize_box,
     solve_two_step,
+    solve_two_step_many,
 )
 from bb84_weakrand.output import canonical_json
 
@@ -84,15 +89,66 @@ class TestTwoStepProblem:
             TwoStepProblem(q_target=0.1, dev=DeviationParams(0.0, 0.0), observed_basis_prob=0.0)
 
 
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
 class TestObjectiveConsistency:
     def test_scalar_matches_vectorized(self, rng):
         problem = TwoStepProblem(q_target=0.07, dev=DeviationParams(0.08, 0.2))
         points = rng.uniform([0, 0.3, 0, 0, 0], [1, 0.7, 1, 1, 1], size=(2000, 5))
-        vectorized = _reduced_objective_vec(problem, points)
-        for row, expected in zip(points, vectorized):
-            assert _reduced_objective_scalar(problem, *row) == pytest.approx(
-                expected, abs=1e-12
-            )
+        scalar = [_reduced_objective_scalar(problem, *row) for row in points.tolist()]
+        # With the C library's log2 every value is the scalar's, bit for bit;
+        # the grid scan's numpy log2 may differ in the last bit.
+        exact = _reduced_objective_vec(points, problem.search_constants, _libm_log2)
+        assert hexes(exact) == hexes(scalar)
+        grid = _reduced_objective_vec(points, problem.search_constants)
+        for value, expected in zip(grid, scalar):
+            assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_per_row_constants_match_scalar(self, rng):
+        problems = [
+            TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1), observed_basis_prob=b)
+            for q, eps0, eps1, b in [
+                (0.0, 0.0, 0.0, 0.5), (-0.0, 0.1, 0.1, 0.5), (0.07, 0.08, 0.2, 0.45),
+                (0.3, 0.2, 0.5, 0.6), (0.5, 0.3, 0.45, 0.99),
+            ]
+        ]
+        owners = rng.integers(0, len(problems), size=3000)
+        points = rng.uniform(0.0, 1.0, size=(3000, 5))
+        table = np.array([problem.search_constants for problem in problems]).T
+        # Exact zeros and ones, the box's corners, hit every tie of the clamps.
+        points[rng.random(points.shape) < 0.2] = 0.0
+        points[rng.random(points.shape) < 0.1] = 1.0
+        band_lo, band_hi = table[3, owners], table[4, owners]
+        points[:, 1] = band_lo + points[:, 1] * (band_hi - band_lo)
+        values = _reduced_objective_vec(points, table[:, owners], _libm_log2)
+        expected = [
+            _reduced_objective_scalar(problems[owner], *row)
+            for owner, row in zip(owners.tolist(), points.tolist())
+        ]
+        assert hexes(values) == hexes(expected)
+
+    def test_weights_below_tiny_match_scalar(self, rng):
+        """A side weight in (0, 1e-15) divides as in the scalar: by itself."""
+        # A rectilinear weight of about 1e-16, with a diagonal term of about
+        # -0.1 whose last bit the rectilinear term reaches.
+        problem = TwoStepProblem(
+            q_target=0.05, dev=DeviationParams(0.1, 0.5), observed_basis_prob=1e-16
+        )
+        n = 400
+        p = rng.uniform(0.1, 0.9, size=n)
+        a0 = rng.uniform(0.0, 1e-16, size=n) / p
+        e01 = rng.uniform(0.0, 0.05, size=n)
+        e00, e10 = rng.uniform(0.0, 0.5, size=(2, n))
+        points = np.column_stack([p, a0, e00, e01, e10])
+        a1 = (1e-16 - p * a0) / (1.0 - p)
+        p_rec = p * a0 + (1.0 - p) * a1
+        assert np.all((p_rec > 0.0) & (p_rec < 1e-15))
+        values = _reduced_objective_vec(points, problem.search_constants, _libm_log2)
+        expected = [_reduced_objective_scalar(problem, *row) for row in points.tolist()]
+        assert max(expected) < PENALTY_BASE
+        assert hexes(values) == hexes(expected)
 
     def test_feasible_points_match_scenario_evaluation(self, rng):
         """The fast objective and the exact scenario calculator agree."""
@@ -255,15 +311,15 @@ class TestSimplexHelpers:
         # scipy clips 1-D arrays; numpy's 0-d path keeps different zeros.
         for width in (1, 16):
             for v, lo, hi in cases:
-                ours = _clip([v] * width, [lo] * width, [hi] * width)
+                ours = clip([v] * width, [lo] * width, [hi] * width)
                 ref = np.clip(np.full(width, v), np.full(width, lo), np.full(width, hi))
                 assert [x.hex() for x in ours] == [float(x).hex() for x in ref]
 
 
-def _refinement_starts(values_of, bounds, opts):
+def _refinement_starts(batched, bounds, opts):
     """The grid cells :func:`_box_search` polishes, best first."""
     points = _grid_points_array(_grid_axes(bounds, opts.grid_points))
-    order = np.argsort(values_of(points), kind="stable")
+    order = np.argsort(batched(points, np.log2), kind="stable")
     return points[order[: opts.refine_starts]]
 
 
@@ -275,14 +331,17 @@ def _two_step_case(q, eps0, eps1):
     def objective(v):
         return _reduced_objective_scalar(problem, *v)
 
-    return objective, bounds, lambda points: _reduced_objective_vec(problem, points)
+    def batched(points, log2=_libm_log2):
+        return _reduced_objective_vec(points, problem.search_constants, log2)
+
+    return objective, bounds, batched
 
 
 def _rosenbrock_case():
-    def values_of(points):
-        return np.array([rosenbrock(row) for row in points])
+    def batched(points, log2=None):
+        return np.array([rosenbrock(row) for row in points.tolist()])
 
-    return rosenbrock, [(-2.0, 2.0), (-2.0, 2.0)], values_of
+    return rosenbrock, [(-2.0, 2.0), (-2.0, 2.0)], batched
 
 
 CROSS_CHECK_CASES = {
@@ -294,36 +353,51 @@ CROSS_CHECK_CASES = {
 }
 
 
+def _logged_polish(batched, starts, bounds, opts):
+    """:func:`_refine` over ``starts``, with each row's evaluated points in call order."""
+    calls = [[] for _ in starts]
+
+    def objective(points, rows):
+        for point, row in zip(points.tolist(), rows.tolist()):
+            calls[row].append([v.hex() for v in point])
+        return batched(points)
+
+    lower = np.array([[lo for lo, _ in bounds]] * len(starts))
+    upper = np.array([[hi for _, hi in bounds]] * len(starts))
+    return _refine(objective, starts, np.arange(len(starts)), lower, upper, opts), calls
+
+
+def _is_subsequence(short, long):
+    remaining = iter(long)
+    return all(any(item == other for other in remaining) for item in short)
+
+
 class TestNelderMeadMatchesScipy:
-    """The in-package simplex repeats scipy's bounded Nelder-Mead bit for bit."""
+    """Each row of the batched polish repeats scipy's bounded Nelder-Mead bit for bit."""
 
     @pytest.mark.parametrize("case", sorted(CROSS_CHECK_CASES))
     def test_same_points_values_and_iterations(self, case):
         minimize = pytest.importorskip("scipy.optimize").minimize
-        objective, bounds, values_of = CROSS_CHECK_CASES[case]()
+        objective, bounds, batched = CROSS_CHECK_CASES[case]()
         opts = SolverOptions()
         free = [i for i, (lo, hi) in enumerate(bounds) if hi - lo > DEGENERATE_AXIS_TOL]
         lower = [bounds[i][0] for i in free]
         upper = [bounds[i][1] for i in free]
-        for start in _refinement_starts(values_of, bounds, opts):
-            calls = {"ours": [], "scipy": []}
+        starts = _refinement_starts(batched, bounds, opts)
+        (points, values, iterations), ours = _logged_polish(batched, starts, bounds, opts)
+        for row, start in enumerate(starts):
+            calls = []
 
-            def reduced(x, log):
+            def reduced(x):
                 full = [float(v) for v in start]
                 for i, v in zip(free, x):
                     full[i] = float(v)
-                log.append([v.hex() for v in full])
+                calls.append([v.hex() for v in full])
                 return objective(full)
 
-            x0 = [float(start[i]) for i in free]
-            x, fun, nit = _nelder_mead(
-                lambda x: reduced(x, calls["ours"]),
-                x0, lower, upper,
-                opts.max_iterations, opts.objective_tol, opts.variable_tol,
-            )
             ref = minimize(
-                lambda x: reduced(x, calls["scipy"]),
-                x0=np.array(x0),
+                reduced,
+                x0=start[free],
                 method="Nelder-Mead",
                 bounds=list(zip(lower, upper)),
                 options={
@@ -332,10 +406,144 @@ class TestNelderMeadMatchesScipy:
                     "xatol": opts.variable_tol,
                 },
             )
-            assert calls["ours"] == calls["scipy"]
-            assert [v.hex() for v in x] == [float(v).hex() for v in ref.x]
-            assert fun.hex() == float(ref.fun).hex()
-            assert nit == ref.nit
+            # The polish also evaluates the trial points scipy skips.
+            assert _is_subsequence(calls, ours[row])
+            assert hexes(points[row, free]) == hexes(ref.x)
+            assert values[row].hex() == float(ref.fun).hex()
+            assert iterations[row] == ref.nit
+
+
+# Mixed lockstep batch: a 4-axis problem (eps1 = 0) and three 5-axis ones,
+# a small iteration cap that some rows reach, and rows that shrink.
+MIXED_BATCH = [
+    (0.24893123976187623, 0.0, 0.0), (0.02, 0.0, 0.1), (0.03, 0.1, 0.1), (0.04, 0.0, 0.45),
+]
+
+
+class TestBatchedPolish:
+    def test_mixed_batch_matches_reference(self, monkeypatch):
+        opts = SolverOptions(max_iterations=120)
+        problems = [TwoStepProblem(q, DeviationParams(e0, e1)) for q, e0, e1 in MIXED_BATCH]
+        starts, owners, cases = [], [], []
+        for owner, (q, e0, e1) in enumerate(MIXED_BATCH):
+            case = _two_step_case(q, e0, e1)
+            rows = _refinement_starts(case[2], case[1], opts)
+            starts.append(rows)
+            owners += [owner] * len(rows)
+            cases += [case] * len(rows)
+        starts, owners = np.concatenate(starts), np.array(owners)
+        table = np.array([problem.search_constants for problem in problems]).T
+        boxes = np.array([case[1] for case in cases])
+        shrunk = []
+        original = optimizer._Simplices.set_shrunk
+        monkeypatch.setattr(
+            optimizer._Simplices,
+            "set_shrunk",
+            lambda self, rows, x, v: shrunk.append(len(rows)) or original(self, rows, x, v),
+        )
+
+        points, values, iterations = _refine(
+            lambda x, labels: _reduced_objective_vec(x, table[:, labels], _libm_log2),
+            starts,
+            owners,
+            boxes[:, :, 0],
+            boxes[:, :, 1],
+            opts,
+        )
+
+        for row, (objective, bounds, _) in enumerate(cases):
+            free = [i for i, (lo, hi) in enumerate(bounds) if hi - lo > DEGENERATE_AXIS_TOL]
+            start = starts[row].tolist()
+
+            def reduced(x):
+                full = list(start)
+                for i, v in zip(free, x):
+                    full[i] = v
+                return objective(full)
+
+            x, fun, nit = nelder_mead(
+                reduced,
+                [start[i] for i in free],
+                [bounds[i][0] for i in free],
+                [bounds[i][1] for i in free],
+                opts.max_iterations,
+                opts.objective_tol,
+                opts.variable_tol,
+            )
+            assert hexes(points[row, free]) == hexes(x)
+            assert values[row].hex() == fun.hex()
+            assert iterations[row] == nit
+        free_axes = (boxes[:, :, 1] - boxes[:, :, 0] > DEGENERATE_AXIS_TOL).sum(axis=1)
+        assert set(free_axes.tolist()) == {4, 5}
+        assert 0 < (iterations < opts.max_iterations).sum() < len(starts)
+        assert shrunk
+
+    def test_rows_without_free_axes_keep_their_start(self):
+        point, value = minimize_box(lambda v: v[0] + v[1], [(0.5, 0.5), (0.25, 0.25)])
+        assert point.tolist() == [0.5, 0.25]
+        assert value == 0.75
+
+    def test_smallest_is_the_stable_argsort_prefix(self, rng):
+        for _ in range(200):
+            values = rng.integers(0, 6, size=rng.integers(1, 60)).astype(float)
+            values[rng.random(len(values)) < 0.1] = np.nan
+            count = int(rng.integers(1, len(values) + 1))
+            expected = np.argsort(values, kind="stable")[:count]
+            assert _smallest(values, count).tolist() == expected.tolist()
+
+    def test_grid_points_are_lexicographic(self):
+        axes = [np.array([0.0, 0.5, 1.0]), np.array([-0.0, 2.0]), np.array([0.25])]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        expected = np.stack([m.ravel() for m in mesh], axis=1)
+        assert hexes(_grid_points_array(axes)) == hexes(expected)
+
+
+# The two-step points of the benchmark's `curves` sweep.
+CURVES_PROBLEMS = [
+    TwoStepProblem(q_target=i * 0.01, dev=DeviationParams(eps0, eps1))
+    for i in range(12)
+    for eps0, eps1 in [(0.0, 0.0), (0.0, 0.1), (0.1, 0.1)]
+]
+
+
+class TestSolveTwoStepMany:
+    def test_batch_equals_one_at_a_time(self):
+        # repr round-trips every float, signed zeros included.
+        alone = [repr(solve_two_step(problem).to_dict()) for problem in CURVES_PROBLEMS]
+        batch = solve_two_step_many(CURVES_PROBLEMS)
+        assert [repr(result.to_dict()) for result in batch] == alone
+
+    def test_empty(self):
+        assert solve_two_step_many([]) == []
+
+    def test_first_infeasible_problem_raises(self, monkeypatch):
+        # No observation at hand takes the search's minimum up to
+        # PENALTY_BASE, so the minimum is marked infeasible for Q = 0.01
+        # and 0.02.
+        excess = {0.01: 0.25, 0.02: 0.5}
+        search = optimizer._box_search
+
+        def solve(problems):
+            qs = [problem.q_target for problem in problems]
+
+            def marked(scan, polish, boxes, opts):
+                return [
+                    (point, optimizer.PENALTY_BASE + excess[q] if q in excess else value, report)
+                    for (point, value, report), q in zip(search(scan, polish, boxes, opts), qs)
+                ]
+
+            monkeypatch.setattr(optimizer, "_box_search", marked)
+            return solve_two_step_many(problems, FAST)
+
+        dev = DeviationParams(0.0, 0.1)
+        with pytest.raises(InfeasibilityError) as alone:
+            solve([TwoStepProblem(0.01, dev)])
+        with pytest.raises(InfeasibilityError) as batch:
+            solve([TwoStepProblem(q, dev) for q in (0.03, 0.01, 0.02)])
+        assert str(batch.value) == str(alone.value) == (
+            "no feasible eavesdropper strategy found for Q=0.01"
+        )
+        assert batch.value.residual == alone.value.residual == 0.25
 
 
 # sha256 of canonical_json(solve_two_step(...).to_dict()) with default

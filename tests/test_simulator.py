@@ -402,3 +402,12 @@ class TestValidation:
     def test_bob_basis_probability(self):
         with pytest.raises(ValidationError):
             config(bob_basis_prob=1.5)
+
+    def test_unknown_attacker_names_the_valid_ones(self):
+        with pytest.raises(ValidationError, match="'eve'.*none, intercept-resend-with-hints"):
+            config(attacker="eve")
+
+    def test_attacker_given_by_value(self):
+        assert config(attacker="intercept-resend-with-hints").attacker is (
+            Attacker.INTERCEPT_RESEND_WITH_HINTS
+        )
