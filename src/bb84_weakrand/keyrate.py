@@ -31,16 +31,19 @@ class DeviationParams:
 
     eps0 bounds the classical-bit encoding bias, eps1 the basis-selection
     bias, each conditioned on the eavesdropper's hidden variable.  Zero
-    means perfect randomness; 1/2 means the choice is fully known.
+    means perfect randomness; 1/2 means the choice is fully known.  A
+    value within PROB_ATOL outside [0, 1/2] is stored clamped into it.
     """
 
     eps0: float
     eps1: float
 
     def __post_init__(self):
-        for name, eps in (("eps0", self.eps0), ("eps1", self.eps1)):
+        for name in ("eps0", "eps1"):
+            eps = getattr(self, name)
             if not -PROB_ATOL <= eps <= 0.5 + PROB_ATOL:
                 raise ValidationError(f"{name}={eps!r} outside [0, 0.5]")
+            object.__setattr__(self, name, min(max(eps, 0.0), 0.5))
 
 
 def phase_gap_bound(eps0: float) -> float:
@@ -192,7 +195,7 @@ class HiddenVariableModel:
         """Smallest deviation bounds this model satisfies."""
         dev0 = max(abs(p - 0.5) for p in self.p_x0_given_l0)
         dev1 = max(abs(p - 0.5) for p in self.p_x1_given_l1)
-        return DeviationParams(min(dev0, 0.5), min(dev1, 0.5))
+        return DeviationParams(dev0, dev1)
 
     def within(self, dev: DeviationParams, atol: float = PROB_ATOL) -> bool:
         """Whether all conditional probabilities respect the given bounds."""

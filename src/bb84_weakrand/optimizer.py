@@ -40,11 +40,10 @@ PENALTY_BASE = 1e3
 PENALTY_CAP = 1e6
 DEGENERATE_AXIS_TOL = 1e-15
 # MAX_GRID_CELLS keeps the grid scan within GRID_MEMORY_BUDGET at
-# GRID_BYTES_PER_CELL, the peak-memory slope of the unchunked scan (measured
-# on 10**5 to 16**5 cells).  The chunked scan holds about 55 B per cell (the
-# points and their values; measured on 10**5 to 18**5 cells), so the cap
-# is conservative.
-GRID_BYTES_PER_CELL = 290
+# GRID_BYTES_PER_CELL, the slope of the peak RSS of `rate --method two-step
+# --grid N` over N = 10 to 20 (55.5 B per cell, rounded up; the points,
+# their values and the partial sort's copy of the values).
+GRID_BYTES_PER_CELL = 56
 GRID_MEMORY_BUDGET = 4 * 2**30
 MAX_GRID_CELLS = GRID_MEMORY_BUDGET // GRID_BYTES_PER_CELL
 # Grid cells per objective call in the scan: small enough for the
@@ -58,9 +57,9 @@ class SolverOptions:
     """Knobs for the grid-plus-simplex search; defaults favour reproducibility.
 
     The scan grid has ``grid_points`` to the power of the number of
-    non-degenerate axes cells, at most ``MAX_GRID_CELLS`` (14,810,232: the
-    cells that fit a 4 GiB scan at 290 B each, the unchunked scan's slope,
-    so up to 27 points on each of the five two-step axes).  A larger grid is rejected with a
+    non-degenerate axes cells, at most ``MAX_GRID_CELLS`` (76,695,844: the
+    cells that fit a 4 GiB scan at 56 B each, so up to 37 points on each
+    of the five two-step axes).  A larger grid is rejected with a
     ValidationError before any array is built.
     """
 
@@ -112,8 +111,8 @@ class TwoStepProblem:
             self.q_target,
             self.observed_basis_prob,
             phase_gap_bound(self.dev.eps0),
-            max(0.0, 0.5 - eps1),
-            min(1.0, 0.5 + eps1),
+            0.5 - eps1,
+            0.5 + eps1,
         )
 
 
@@ -175,56 +174,63 @@ def _eliminate(numerator, weight, fallback):
     return np.where(small, fallback, quotient), np.where(small, np.abs(numerator), 0.0)
 
 
-def _reduced_objective_vec(points: np.ndarray, constants, log2=np.log2) -> np.ndarray:
-    """Penalised rate at each row (p_lambda1, a0, e_b00, e_b01, e_b10).
+def _elimination(points: np.ndarray, constants):
+    """The scenario that each row (p_lambda1, a0, e_b00, e_b01, e_b10) stands for.
 
-    Feasible rows get the exact split-processing rate with worst-case
-    phase errors; rows whose eliminated variables fall outside their own
-    bounds get the rate at the clamped point plus a large finite penalty
-    and the distance to feasibility.
+    Eliminates the second basis probability ``a1`` via the observed basis
+    balance and the last bit error rate ``e11`` via the observed QBER,
+    clamps both to their bounds, and bounds each side's phase error by the
+    band that its cross-basis bit error rates allow.  ``constants`` is a
+    problem's ``search_constants``, or five arrays that give each row its
+    own problem's.  Returns ``(a1, rates, side, weighted, errors, worst,
+    penalty)``, where side 0 is the rectilinear basis and side 1 the
+    diagonal one:
 
-    ``constants`` is a problem's ``search_constants``, or five arrays that
-    give each row its own problem's.  Every value repeats
-    :func:`_reduced_objective_scalar` operation for operation: the same
-    rounding steps in the same order, divisions by the same weights, and
-    clamps with the scalar's tie rules, signed zeros included (where a
-    numpy clamp stands in, the comment says why its ties give the same
-    bits).  So with ``log2=_libm_log2`` each value is the scalar's bit for
-    bit; the grid scan keeps numpy's faster ``log2``.
+    - ``a1``, clamped to the basis band
+    - ``rates[h, k, s]`` for hidden value ``h`` on side ``s``: its bit error
+      rate (``k = 0``; ``rates[1, 0, 1]`` is the clamped ``e11``) and the
+      low (1) and high (2) ends of the band of its phase error
+    - ``side[s]``, the side's weight, and ``weighted``: None when every
+      side weight is positive, else where they are
+    - ``errors[k, s]``, the hidden values' ``rates`` averaged by weight
+    - ``worst[s]``, the point of the side's phase band ``errors[1:, s]``
+      nearest 1/2, the adversarial phase error
+    - ``penalty``, the distance to feasibility: the unclamped variables'
+      distances to their bounds, plus abs(numerator) where a weight
+      vanishes
+
+    Every value repeats :func:`_reduced_objective_scalar` operation for
+    operation: the same rounding steps in the same order, divisions by the
+    same weights, and clamps with the scalar's tie rules, signed zeros
+    included (where a numpy clamp stands in, the comment says why its ties
+    give the same bits).
     """
     p, a0, _, e01, e10 = points.T
     q, rec_target, gap, band_lo, band_hi = constants
     size = len(p)
 
-    # Eliminate the second basis probability via the observed basis balance.
     one_minus_p = 1.0 - p
     a1, collapsed = _eliminate(rec_target - p * a0, one_minus_p, 0.5)
-    # weights[h, s] is the weight of hidden value h on side s, where side 0
-    # is the rectilinear basis and side 1 the diagonal one.
-    weights = np.empty((2, 2, size))
-    weights[0, 0] = a0
     # np.clip keeps the bound on a tie where the scalar keeps a1, the same
     # bits: a1 is never -0.0 (a vanishing numerator is +0.0), nor is the band.
-    a1.clip(band_lo, band_hi, out=weights[1, 0])
-    band_gap = np.abs(a1 - weights[1, 0])
+    clamped = a1.clip(band_lo, band_hi)
+    band_gap = np.abs(a1 - clamped)
+    # weights[h, s] is the weight of hidden value h on side s.
+    weights = np.empty((2, 2, size))
+    weights[0, 0] = a0
+    weights[1, 0] = clamped
     np.subtract(1.0, weights[:, 0], out=weights[:, 1])
     weights[0] *= p
     weights[1] *= one_minus_p
 
-    # Eliminate the last bit error rate via the observed QBER.
     bits = weights[:, 0] * points[:, 2::2].T
     residual = q - bits[0] - bits[1] - weights[0, 1] * e01
     e11, weightless = _eliminate(residual, weights[1, 1], 0.0)
-    # rates[h, 0, s] is the bit error rate of hidden value h on side s;
-    # rates[h, 1] and rates[h, 2] are the low and high ends of the band that
-    # the cross-basis rate rates[h, 0, 1 - s] puts on its phase error.
     rates = np.empty((2, 3, 2, size))
     rates[0, 0] = points[:, 2:4].T
     rates[1, 0, 0] = e10
     # The scalar's clamp, which keeps e11 on a tie: -0.0 stays -0.0.
     rates[1, 0, 1] = np.where(0.0 > e11, 0.0, np.where(1.0 < e11, 1.0, e11))
-    # The penalty is the distance to feasibility: the eliminated rates'
-    # distances to their bands, plus abs(numerator) where a weight vanishes.
     # A zero penalty's sign never matters.
     range_gap = np.abs(e11 - rates[1, 0, 1])
     if collapsed is None and weightless is None:
@@ -243,17 +249,30 @@ def _reduced_objective_vec(points: np.ndarray, constants, log2=np.log2) -> np.nd
 
     side = weights[0] + weights[1]
     weighted = None if side.min() > 0.0 else side > 0.0
-    # errors[0] is each side's bit error rate, errors[1:] its phase band.
     products = weights[:, None] * rates
     errors = np.add(products[0], products[1], out=products[0])
     errors /= side if weighted is None else np.where(weighted, side, 1.0)
-    # Adversarial phase errors: the weighted cross-basis band point nearest
-    # 1/2, ``0.5 if lo <= 0.5 <= hi else (hi if hi < 0.5 else lo)``.  As
-    # lo <= hi, that is 1/2 clamped to [lo, hi]; a tie is with 0.5 itself.
-    np.maximum(errors[1], 0.5, out=errors[1])
-    np.minimum(errors[1], errors[2], out=errors[1])
+    # ``0.5 if lo <= 0.5 <= hi else (hi if hi < 0.5 else lo)``.  As lo <= hi,
+    # that is 1/2 clamped to [lo, hi]; a tie is with 0.5 itself.
+    worst = np.maximum(errors[1], 0.5)
+    np.minimum(worst, errors[2], out=worst)
+    return clamped, rates, side, weighted, errors, worst, penalty
 
-    s_bit, s_pha = _minus_entropy(errors[:2], log2)
+
+def _reduced_objective_vec(points: np.ndarray, constants, log2=np.log2) -> np.ndarray:
+    """Penalised rate at each row (p_lambda1, a0, e_b00, e_b01, e_b10).
+
+    Feasible rows get the exact split-processing rate with worst-case
+    phase errors; rows whose eliminated variables fall outside their own
+    bounds get the rate at the clamped point plus a large finite penalty
+    and the distance to feasibility.
+
+    ``constants`` is as for :func:`_elimination`.  With
+    ``log2=_libm_log2`` each value is :func:`_reduced_objective_scalar`'s
+    bit for bit; the grid scan keeps numpy's faster ``log2``.
+    """
+    _, _, side, weighted, errors, worst, penalty = _elimination(points, constants)
+    s_bit, s_pha = _minus_entropy(np.stack((errors[0], worst)), log2)
     terms = side * (1.0 + s_bit + s_pha)
     if weighted is not None:
         terms = np.where(weighted, terms, 0.0)
@@ -335,10 +354,6 @@ def _reduced_objective_scalar(
 def _grid_axes(bounds: list[tuple[float, float]], grid_points: int) -> list[np.ndarray]:
     cells = 1
     for lo, hi in bounds:
-        if hi < lo:
-            raise ValidationError(f"empty box: bound ({lo!r}, {hi!r})")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValidationError(f"bounds must be finite, got ({lo!r}, {hi!r})")
         if hi - lo > DEGENERATE_AXIS_TOL:
             cells *= grid_points
     if cells > MAX_GRID_CELLS:
@@ -620,21 +635,26 @@ def _refine(objective, starts, labels, lower, upper, opts):
     return points, values, iterations
 
 
-def _box_search(scan, polish, boxes, opts):
-    """Grid scan of every box, then one lockstep polish of all their starts.
+def _box_search(constants, opts):
+    """Grid scan of every problem's box, then one lockstep polish of all their starts.
 
-    ``boxes`` lists each box's bounds.  ``scan(i, points)`` gives box
-    ``i``'s objective at an array of its grid points; ``polish(points,
-    owners)`` gives, at each full point, the objective of the box listed
-    for it in ``owners``.  Each box keeps the best cell of its grid and
-    polishes its ``opts.refine_starts`` best cells.  Returns one
-    ``(point, value, report)`` per box, in order.
+    ``constants`` lists each problem's ``search_constants``; its box is the
+    unit cube with the basis band on the ``a0`` axis.  Each box keeps the
+    best cell of its grid and polishes its ``opts.refine_starts`` best
+    cells.  Returns one ``(point, report)`` per problem, in order.
     """
+    boxes = [
+        [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+        for *_, band_lo, band_hi in constants
+    ]
     seeds, starts = [], []
-    for i, bounds in enumerate(boxes):
+    for own, bounds in zip(constants, boxes):
         points = _grid_points_array(_grid_axes(bounds, opts.grid_points))
         values = np.concatenate(
-            [scan(i, points[j:j + GRID_CHUNK]) for j in range(0, len(points), GRID_CHUNK)]
+            [
+                _reduced_objective_vec(points[j:j + GRID_CHUNK], own)
+                for j in range(0, len(points), GRID_CHUNK)
+            ]
         )
         # Grid enumeration is lexicographic, so breaking ties by index makes
         # the choice of the best cells deterministic.
@@ -645,9 +665,10 @@ def _box_search(scan, polish, boxes, opts):
         del points, values  # one grid at a time
 
     owners = np.repeat(np.arange(len(boxes)), [seed[3] for seed in seeds])
-    box = np.array(boxes, dtype=float)
+    table = np.array(constants).T
+    box = np.array(boxes)
     polished, polished_values, polish_iterations = _refine(
-        polish,
+        lambda points, labels: _reduced_objective_vec(points, table[:, labels], _libm_log2),
         np.concatenate(starts),
         owners,
         box[owners, :, 0],
@@ -674,86 +695,43 @@ def _box_search(scan, polish, boxes, opts):
             "best_objective_trace": [float(v) for v in trace],
             "seed": int(opts.seed),
         }
-        searches.append((best_point, best_value, report))
+        searches.append((best_point, report))
         first += n_starts
     return searches
 
 
-def minimize_box(objective, bounds, opts: SolverOptions | None = None):
-    """Deterministic minimum of ``objective`` over a finite box.
+def _reconstruct_scenario(problems, points: np.ndarray) -> list[TwoStepScenario]:
+    """The full scenario of each problem at its row of ``points``.
 
-    Scans a uniform grid (``opts.grid_points`` per non-degenerate axis),
-    then polishes the best ``opts.refine_starts`` cells with Nelder-Mead.
-    ``objective`` takes a point as a list of floats.  Returns
-    ``(point, value)``; identical inputs give identical output.
+    The eliminated variables come from :func:`_elimination`.  Each side's
+    phase errors reach its worst weighted average: every component sits at
+    the fraction ``t`` of its own band at which the worst point sits in the
+    side's band (0 for a band of no width).  A side of zero weight takes
+    the cross-basis bit error rates as its phase errors.
     """
-    opts = opts or SolverOptions()
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-
-    def values(points, _owners=None):
-        return np.array([objective(row) for row in points.tolist()], dtype=float)
-
-    [(point, value, _)] = _box_search(lambda _box, points: values(points), values, [bounds], opts)
-    return point, value
-
-
-def _reconstruct_scenario(problem: TwoStepProblem, v: np.ndarray) -> TwoStepScenario:
-    """Rebuild the full scenario (eliminated variables included) from a point."""
-    p, a0, e00, e01, e10 = (float(x) for x in v)
-    q, rec_target, gap, band_lo, band_hi = problem.search_constants
-
-    if 1.0 - p < _TINY:
-        a1 = 0.5
-    else:
-        a1 = (rec_target - p * a0) / (1.0 - p)
-    a1 = min(max(a1, band_lo), band_hi)
-
-    p_rec1, p_rec2 = p * a0, (1.0 - p) * a1
-    p_dia1, p_dia2 = p * (1.0 - a0), (1.0 - p) * (1.0 - a1)
-    residual = q - p_rec1 * e00 - p_rec2 * e10 - p_dia1 * e01
-    e11 = 0.0 if p_dia2 < _TINY else residual / p_dia2
-    e11 = min(max(e11, 0.0), 1.0)
-
-    def realize(weights: tuple[float, float], cross: tuple[float, float]) -> tuple[float, float]:
-        """Per-component phase errors achieving the worst weighted average."""
-        total = weights[0] + weights[1]
-        if total <= 0.0:
-            return cross
-        los = [max(0.0, c - gap) for c in cross]
-        his = [min(1.0, c + gap) for c in cross]
-        lo = (weights[0] * los[0] + weights[1] * los[1]) / total
-        hi = (weights[0] * his[0] + weights[1] * his[1]) / total
-        if lo <= 0.5 <= hi:
-            worst = 0.5
-        else:
-            worst = hi if hi < 0.5 else lo
-        t = 0.0 if hi - lo <= 0.0 else (worst - lo) / (hi - lo)
-        return (
-            los[0] + t * (his[0] - los[0]),
-            los[1] + t * (his[1] - los[1]),
+    constants = np.array([problem.search_constants for problem in problems]).T
+    a1, rates, side, _, errors, worst, _ = _elimination(points, constants)
+    lo, hi = errors[1:]
+    width = hi - lo
+    t = np.divide(worst - lo, width, out=np.zeros(width.shape), where=~(width <= 0.0))
+    phases = rates[:, 1] + t * (rates[:, 2] - rates[:, 1])
+    phases = np.where(side <= 0.0, rates[:, 0, ::-1], phases)
+    # Per problem: e_b00, e_b01, e_b10, e_b11, then the e_p in the same order.
+    fields = np.concatenate((rates[:, 0], phases)).reshape(8, -1).T.tolist()
+    names = ("e_b00", "e_b01", "e_b10", "e_b11", "e_p00", "e_p01", "e_p10", "e_p11")
+    scenarios = []
+    for problem, (p, a0), a1_value, row in zip(
+        problems, points[:, :2].tolist(), a1.tolist(), fields
+    ):
+        eps0 = problem.dev.eps0
+        hv = HiddenVariableModel(
+            p_lambda0=0.5,
+            p_lambda1=p,
+            p_x0_given_l0=(0.5 + eps0, 0.5 - eps0),
+            p_x1_given_l1=(a0, a1_value),
         )
-
-    e_p00, e_p10 = realize((p_rec1, p_rec2), (e01, e11))
-    e_p01, e_p11 = realize((p_dia1, p_dia2), (e00, e10))
-
-    eps0 = problem.dev.eps0
-    hv = HiddenVariableModel(
-        p_lambda0=0.5,
-        p_lambda1=p,
-        p_x0_given_l0=(min(1.0, 0.5 + eps0), max(0.0, 0.5 - eps0)),
-        p_x1_given_l1=(a0, a1),
-    )
-    return TwoStepScenario(
-        hv=hv,
-        e_b00=e00,
-        e_b01=e01,
-        e_b10=e10,
-        e_b11=e11,
-        e_p00=e_p00,
-        e_p01=e_p01,
-        e_p10=e_p10,
-        e_p11=e_p11,
-    )
+        scenarios.append(TwoStepScenario(hv=hv, **dict(zip(names, row))))
+    return scenarios
 
 
 def constraint_residuals(problem: TwoStepProblem, scenario: TwoStepScenario) -> dict:
@@ -800,36 +778,26 @@ def solve_two_step_many(
     solving it alone.  Each minimizer's eliminated variables are
     reconstructed and it is re-evaluated through the exact scenario
     calculator, so the reported rate and the reported scenario cannot
-    drift apart.  The first infeasible problem raises InfeasibilityError.
+    drift apart.  The first problem whose minimizer violates a constraint
+    by more than 1e-9 (its ``feasibility_residual``) raises
+    InfeasibilityError carrying that residual.
     """
     opts = opts or SolverOptions()
     problems = list(problems)
     if not problems:
         return []
-    constants = [problem.search_constants for problem in problems]
-    table = np.array(constants).T
-    boxes = [
-        [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
-        for *_, band_lo, band_hi in constants
-    ]
-
-    def scan(box, points):
-        return _reduced_objective_vec(points, constants[box])
-
-    def polish(points, owners):
-        return _reduced_objective_vec(points, table[:, owners], _libm_log2)
-
+    searches = _box_search([problem.search_constants for problem in problems], opts)
+    scenarios = _reconstruct_scenario(problems, np.array([point for point, _ in searches]))
     results = []
-    for problem, (point, value, report) in zip(problems, _box_search(scan, polish, boxes, opts)):
-        if value >= PENALTY_BASE:
+    for problem, scenario, (_, report) in zip(problems, scenarios, searches):
+        residual = max(constraint_residuals(problem, scenario).values())
+        if residual > 1e-9:
             raise InfeasibilityError(
                 f"no feasible eavesdropper strategy found for Q={problem.q_target!r}",
-                residual=value - PENALTY_BASE,
+                residual=residual,
             )
-        scenario = _reconstruct_scenario(problem, point)
         min_rate = evaluate_two_step_scenario(scenario, problem.dev, use_worst_phase=True)
-        residuals = constraint_residuals(problem, scenario)
-        report["feasibility_residual"] = max(residuals.values())
+        report["feasibility_residual"] = residual
         report["one_step_delta"] = one_step_delta(problem.dev)
         results.append(
             OptimizationResult(min_rate=min_rate, argmin=scenario, solver_report=report)

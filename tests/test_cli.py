@@ -115,7 +115,25 @@ class TestRateCommand:
             assert main([*argv, "--seed", "1", "--grid", "40"]) == EXIT_VALIDATION
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "102400000 cells, above the cap of 14810232" in captured.err
+            assert "102400000 cells, above the cap of 76695844" in captured.err
+
+    def test_two_step_clamps_a_deviation_within_tolerance(self):
+        """An eps1 a hair below 0 solves as eps1 = 0 (it used to be an empty box)."""
+        base = ["rate", "--method", "two-step", "--qber", "0.05", "--seed", "1"]
+        checksums = []
+        for eps1 in ("--eps1=-1e-13", "--eps1=0"):
+            proc = run_cli(*base, eps1)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            checksums.append(json.loads(proc.stdout)["manifest"]["checksum"])
+        assert checksums[0] == checksums[1]
+
+    def test_sweep_prints_a_clamped_deviation(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--qber", "0:0.01:0.01", "--dev=0,-1e-13", "--method", "two-step",
+                "--seed", "1", "--grid", "5", "--starts", "2", "--format", "csv",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert out.read_text().splitlines()[1].startswith("0.0,0.0,0.0,two-step,")
 
     def test_invalid_qber_exits_validation(self):
         proc = run_cli("rate", "--method", "one-step", "--qber", "0.7")

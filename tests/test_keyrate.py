@@ -45,6 +45,13 @@ class TestDeviationParams:
         with pytest.raises(ValidationError):
             DeviationParams(0.0, -0.1)
 
+    def test_values_within_tolerance_are_clamped(self):
+        dev = DeviationParams(-1e-13, 0.5 + 1e-13)
+        assert (dev.eps0, dev.eps1) == (0.0, 0.5)
+        assert DeviationParams(-1e-13, 0.0) == DeviationParams(0.0, 0.0)
+        hv = HiddenVariableModel(0.5, 0.5, (0.5, 0.5), (1.0 + 1e-13, 0.5))
+        assert hv.deviation() == DeviationParams(0.0, 0.5)
+
 
 class TestStrongRandomnessRate:
     def test_perfect_single_photon_channel(self):

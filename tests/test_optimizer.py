@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nelder_mead_reference import clip, nelder_mead
+from rebuild_reference import reconstruct_scenario
 
 from bb84_weakrand import optimizer
 from bb84_weakrand.errors import InfeasibilityError, ValidationError
@@ -18,6 +19,8 @@ from bb84_weakrand.keyrate import (
 )
 from bb84_weakrand.optimizer import (
     DEGENERATE_AXIS_TOL,
+    GRID_BYTES_PER_CELL,
+    GRID_MEMORY_BUDGET,
     MAX_GRID_CELLS,
     PENALTY_BASE,
     SolverOptions,
@@ -31,7 +34,6 @@ from bb84_weakrand.optimizer import (
     _refine,
     _smallest,
     constraint_residuals,
-    minimize_box,
     solve_two_step,
     solve_two_step_many,
 )
@@ -46,35 +48,6 @@ FAST = SolverOptions(grid_points=7, refine_starts=6, max_iterations=300)
 
 def rosenbrock(v):
     return (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
-
-
-class TestMinimizeBox:
-    def test_interior_quadratic(self):
-        point, value = minimize_box(lambda v: (v[0] - 1.0) ** 2, [(0.0, 2.0)])
-        assert point[0] == pytest.approx(1.0, abs=1e-6)
-        assert value == pytest.approx(0.0, abs=1e-10)
-
-    def test_boundary_minimum(self):
-        point, value = minimize_box(lambda v: v[0], [(3.0, 5.0)])
-        assert point[0] == pytest.approx(3.0, abs=1e-9)
-        assert value == pytest.approx(3.0, abs=1e-9)
-
-    def test_rosenbrock(self):
-        point, value = minimize_box(rosenbrock, [(-2.0, 2.0), (-2.0, 2.0)])
-        assert point[0] == pytest.approx(1.0, abs=1e-4)
-        assert point[1] == pytest.approx(1.0, abs=1e-4)
-        assert value <= 1e-8
-
-    def test_degenerate_axis_held_fixed(self):
-        point, value = minimize_box(
-            lambda v: (v[0] - 0.3) ** 2 + v[1] ** 2, [(0.7, 0.7), (-1.0, 1.0)]
-        )
-        assert point[0] == 0.7
-        assert point[1] == pytest.approx(0.0, abs=1e-6)
-
-    def test_empty_box_rejected(self):
-        with pytest.raises(ValidationError):
-            minimize_box(lambda v: v[0], [(1.0, 0.0)])
 
 
 class TestTwoStepProblem:
@@ -159,12 +132,54 @@ class TestObjectiveConsistency:
             value = _reduced_objective_scalar(problem, *v)
             if value >= 1e3:  # infeasible elimination, penalized
                 continue
-            scenario = _reconstruct_scenario(problem, v)
+            [scenario] = _reconstruct_scenario([problem], v[None])
             exact = evaluate_two_step_scenario(
                 scenario, problem.dev, use_worst_phase=True
             )
             assert value == pytest.approx(exact.rate, abs=1e-12)
             accepted += 1
+
+
+# Problems for the rebuild: signed-zero QBER, eps1 = 0 (a degenerate basis
+# band) and 0.5 (a band reaching 0 and 1), and basis balances off 1/2.
+REBUILD_PROBLEMS = [
+    TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1), observed_basis_prob=b)
+    for q, eps0, eps1, b in [
+        (0.0, 0.0, 0.0, 0.5), (-0.0, 0.1, 0.1, 0.5), (0.02, 0.0, 0.5, 0.5),
+        (0.07, 0.08, 0.2, 0.45), (0.3, 0.2, 0.5, 0.3), (0.5, 0.5, 0.45, 0.99),
+        (0.03, 0.0, 0.1, 0.7), (0.1, 0.3, 0.0, 0.5),
+    ]
+]
+SCENARIO_FIELDS = ("e_b00", "e_b01", "e_b10", "e_b11", "e_p00", "e_p01", "e_p10", "e_p11")
+
+
+def scenario_hexes(scenario):
+    hv = scenario.hv
+    values = [hv.p_lambda1, *hv.p_x0_given_l0, *hv.p_x1_given_l1]
+    return hexes(values + [getattr(scenario, name) for name in SCENARIO_FIELDS])
+
+
+class TestRebuild:
+    def test_batched_rebuild_matches_reference(self, rng):
+        """Every field of every rebuilt scenario is the reference's, bit for bit."""
+        owners = rng.integers(0, len(REBUILD_PROBLEMS), size=4000)
+        points = rng.uniform(0.0, 1.0, size=(len(owners), 5))
+        # Exact zeros and ones, the box's corners, hit the clamps' ties, the
+        # vanishing weights and the phase bands of no width.
+        points[rng.random(points.shape) < 0.25] = 0.0
+        points[rng.random(points.shape) < 0.15] = 1.0
+        bands = np.array([problem.search_constants[3:] for problem in REBUILD_PROBLEMS])
+        band_lo, band_hi = bands[owners].T
+        points[:, 1] = band_lo + points[:, 1] * (band_hi - band_lo)
+        problems = [REBUILD_PROBLEMS[owner] for owner in owners.tolist()]
+
+        rebuilt = _reconstruct_scenario(problems, points)
+
+        expected = [reconstruct_scenario(p, row) for p, row in zip(problems, points)]
+        assert [scenario_hexes(s) for s in rebuilt] == [scenario_hexes(s) for s in expected]
+        # The corners reach both fallbacks and a side of zero weight.
+        assert (points[:, 0] == 1.0).any()
+        assert any(s.p_rec == 0.0 or s.p_dia == 0.0 for s in expected)
 
 
 class TestSolveTwoStep:
@@ -273,11 +288,16 @@ class TestGridCap:
     BOX = [(0.0, 1.0), (0.4, 0.6), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
 
     def test_cap_admits_up_to_27_points_per_axis(self):
-        assert 27**5 <= MAX_GRID_CELLS < 28**5
+        assert 27**5 <= MAX_GRID_CELLS
         for grid in (16, 20, 25, 27):
             assert [len(axis) for axis in _grid_axes(self.BOX, grid)] == [grid] * 5
+
+    def test_cap_is_the_budget_at_the_measured_slope(self):
+        assert MAX_GRID_CELLS == GRID_MEMORY_BUDGET // GRID_BYTES_PER_CELL == 76_695_844
+        assert 37**5 <= MAX_GRID_CELLS < 38**5
+        assert [len(axis) for axis in _grid_axes(self.BOX, 37)] == [37] * 5
         with pytest.raises(ValidationError):
-            _grid_axes(self.BOX, 28)
+            _grid_axes(self.BOX, 38)
 
     def test_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(optimizer, "MAX_GRID_CELLS", 9**5)
@@ -298,7 +318,7 @@ class TestGridCap:
         problem = TwoStepProblem(q_target=0.02, dev=DeviationParams(0.0, 0.1))
         with pytest.raises(ValidationError, match="40 points per axis has 102400000 cells"):
             solve_two_step(problem, SolverOptions(grid_points=40))
-        with pytest.raises(ValidationError, match="above the cap of 14810232"):
+        with pytest.raises(ValidationError, match="above the cap of 76695844"):
             _grid_axes(self.BOX[:1], 10**9)
 
 
@@ -479,9 +499,25 @@ class TestBatchedPolish:
         assert shrunk
 
     def test_rows_without_free_axes_keep_their_start(self):
-        point, value = minimize_box(lambda v: v[0] + v[1], [(0.5, 0.5), (0.25, 0.25)])
-        assert point.tolist() == [0.5, 0.25]
-        assert value == 0.75
+        # Row 0 has no free axis; row 1 holds its degenerate first axis.
+        starts = np.array([[0.5, 0.25], [0.7, 0.9]])
+        lower = np.array([[0.5, 0.25], [0.7, -1.0]])
+        upper = np.array([[0.5, 0.25], [0.7, 1.0]])
+
+        def objective(points, labels):
+            fixed = points[:, 0] + points[:, 1]
+            bowl = (points[:, 0] - 0.3) ** 2 + points[:, 1] ** 2
+            return np.where(labels == 0, fixed, bowl)
+
+        points, values, iterations = _refine(
+            objective, starts, np.arange(2), lower, upper, SolverOptions()
+        )
+        assert points[0].tolist() == [0.5, 0.25]
+        assert values[0] == 0.75
+        assert iterations[0] == 0
+        assert points[1, 0] == 0.7
+        assert points[1, 1] == pytest.approx(0.0, abs=1e-6)
+        assert iterations[1] > 0
 
     def test_smallest_is_the_stable_argsort_prefix(self, rng):
         for _ in range(200):
@@ -516,34 +552,46 @@ class TestSolveTwoStepMany:
     def test_empty(self):
         assert solve_two_step_many([]) == []
 
-    def test_first_infeasible_problem_raises(self, monkeypatch):
-        # No observation at hand takes the search's minimum up to
-        # PENALTY_BASE, so the minimum is marked infeasible for Q = 0.01
-        # and 0.02.
-        excess = {0.01: 0.25, 0.02: 0.5}
-        search = optimizer._box_search
-
-        def solve(problems):
-            qs = [problem.q_target for problem in problems]
-
-            def marked(scan, polish, boxes, opts):
-                return [
-                    (point, optimizer.PENALTY_BASE + excess[q] if q in excess else value, report)
-                    for (point, value, report), q in zip(search(scan, polish, boxes, opts), qs)
-                ]
-
-            monkeypatch.setattr(optimizer, "_box_search", marked)
-            return solve_two_step_many(problems, FAST)
-
+    def test_first_infeasible_problem_raises(self):
+        # A basis balance off 1/2 by more than eps1 admits no scenario.
         dev = DeviationParams(0.0, 0.1)
         with pytest.raises(InfeasibilityError) as alone:
-            solve([TwoStepProblem(0.01, dev)])
+            solve_two_step_many([TwoStepProblem(0.01, dev, observed_basis_prob=0.7)], FAST)
         with pytest.raises(InfeasibilityError) as batch:
-            solve([TwoStepProblem(q, dev) for q in (0.03, 0.01, 0.02)])
+            solve_two_step_many(
+                [
+                    TwoStepProblem(0.03, dev),
+                    TwoStepProblem(0.01, dev, observed_basis_prob=0.7),
+                    TwoStepProblem(0.02, dev, observed_basis_prob=0.9),
+                ],
+                FAST,
+            )
         assert str(batch.value) == str(alone.value) == (
             "no feasible eavesdropper strategy found for Q=0.01"
         )
-        assert batch.value.residual == alone.value.residual == 0.25
+        assert batch.value.residual == alone.value.residual > 1e-9
+
+    def test_no_rate_without_a_feasible_scenario(self):
+        """The penalised search reaches no point that meets this balance."""
+        problem = TwoStepProblem(0, DeviationParams(0, 0), observed_basis_prob=0.99)
+        with pytest.raises(InfeasibilityError) as info:
+            solve_two_step(problem)
+        assert info.value.residual == pytest.approx(0.49, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "basis_prob, eps1",
+        [(0.4, 0.1), (0.35, 0.1), (0.7, 0.25), (0.7, 0.15), (0.05, 0.45), (0.5, 0.0), (0.51, 0.0)],
+    )
+    def test_infeasible_exactly_outside_the_basis_band(self, basis_prob, eps1):
+        # The basis probability mixes two values in [1/2 - eps1, 1/2 + eps1].
+        problem = TwoStepProblem(0.02, DeviationParams(0.05, eps1), observed_basis_prob=basis_prob)
+        if abs(basis_prob - 0.5) > eps1:
+            with pytest.raises(InfeasibilityError):
+                solve_two_step(problem, FAST)
+        else:
+            result = solve_two_step(problem, FAST)
+            assert result.solver_report["feasibility_residual"] <= 1e-9
+            assert result.argmin.p_rec == pytest.approx(basis_prob, abs=1e-12)
 
 
 # sha256 of canonical_json(solve_two_step(...).to_dict()) with default
