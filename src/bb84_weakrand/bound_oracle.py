@@ -3,11 +3,15 @@
 Channels are enumerated over an exact probability-simplex grid (integer
 compositions, so every vertex is covered) and the biased-choice
 probabilities over their deviation bands with endpoints always
-included.  Error rates at each grid point come from first principles
-through :mod:`bb84_weakrand.quantum_core`; because both the channel
-mixture and the Bell projections are linear, the rates for the whole
-simplex follow exactly from the four one-operator channels, which keeps
-the scan fast without approximating anything.
+included.  Error rates come from first principles through
+:mod:`bb84_weakrand.quantum_core`, and two linearities keep the scan
+fast without approximating anything.  The output state and its Bell
+projections are linear in the channel, so the rates of the whole
+simplex follow from the four one-operator channels: one mat-vec per band
+point.  The state is also linear in the basis probability, so each
+channel's basis band is mixed from its two basis outputs, built once per
+bit probability, with ``apply_channel``'s own operations in its order
+(the same bits).  Every band state is validated as a density matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from .keyrate import DeviationParams, one_step_delta, phase_gap_bound
 from .quantum_core import (
     PauliChannel,
     apply_channel,
+    bell_error_rates,
     build_source_state,
+    check_density_matrices,
     error_rates,
 )
 
@@ -111,14 +117,49 @@ def deviation_band(eps: float, resolution: int) -> np.ndarray:
     return np.linspace(0.5 - eps, 0.5 + eps, resolution)
 
 
-def _pure_rates(p_bit0: float, p_basis0: float) -> np.ndarray:
-    """(e_bit, e_phase) per one-operator channel, rows ordered I, Z, X, XZ."""
+def _pure_rates(p_bit0: float, basis_band: np.ndarray) -> np.ndarray:
+    """(e_bit, e_phase) per basis probability and channel I, Z, X, XZ.
+
+    Shape ``(len(basis_band), 4, 2)``.  Each band state is ``0 + p * rec
+    + (1 - p) * dia``, as ``apply_channel`` forms it.
+    """
     source = build_source_state(p_bit0)
-    rows = []
-    for channel in _PURE_CHANNELS:
-        pair = error_rates(apply_channel(source, channel, p_basis0))
-        rows.append((pair.e_bit, pair.e_phase))
-    return np.array(rows)
+    rec = np.stack([apply_channel(source, channel, 1.0).matrix for channel in _PURE_CHANNELS])
+    dia = np.stack([apply_channel(source, channel, 0.0).matrix for channel in _PURE_CHANNELS])
+    p = basis_band[:, None, None, None]
+    states = 0.0 + p * rec + (1.0 - p) * dia
+    check_density_matrices(states)
+    return bell_error_rates(states)
+
+
+def _scan(
+    target: str, bound: float, grid_res: int, cases, points: int, absolute: bool
+) -> OracleReport:
+    """Largest ``channels @ gap`` (or its magnitude) over the simplex grid.
+
+    ``cases`` yields ``(gap, where)``: the gaps of the four one-operator
+    channels and the band coordinates they belong to.  It is only read
+    after ``grid_res`` is checked.  ``points`` counts its band points.
+    """
+    if grid_res < 3:
+        raise ValidationError(f"grid_res must be at least 3, got {grid_res}")
+    channels = simplex_grid(grid_res)
+    best = -np.inf
+    location: dict = {}
+    for gap, where in cases:
+        values = channels @ gap
+        if absolute:
+            values = np.abs(values)
+        idx = int(np.argmax(values))
+        if values[idx] > best:
+            best = float(values[idx])
+            q00, q01, q10, q11 = channels[idx].tolist()
+            location = {
+                "q00": q00, "q01": q01, "q10": q10, "q11": q11, **where, "difference": best
+            }
+    return OracleReport(
+        target, bound, best, best - bound, bound - best, location, len(channels) * points, grid_res
+    )
 
 
 def evaluate_one_step_point(
@@ -135,59 +176,25 @@ def verify_one_step_bound(dev: DeviationParams, grid_res: int) -> OracleReport:
     Enumerates every simplex channel against every banded pair of choice
     probabilities and records the largest e_phase - e_bit found.
     """
-    if grid_res < 3:
-        raise ValidationError("grid_res must be at least 3")
-    bound = one_step_delta(dev)
-    channels = simplex_grid(grid_res)
-    bit_band = deviation_band(dev.eps0, grid_res)
-    basis_band = deviation_band(dev.eps1, grid_res)
+    def cases():
+        basis_band = deviation_band(dev.eps1, grid_res)
+        for p_bit0 in deviation_band(dev.eps0, grid_res):
+            rates = _pure_rates(p_bit0, basis_band)
+            for p_basis0, gap in zip(basis_band, rates[..., 1] - rates[..., 0]):
+                yield gap, {"p_bit0": float(p_bit0), "p_basis0": float(p_basis0)}
 
-    best = -np.inf
-    location: dict = {}
-    for p_bit0 in bit_band:
-        for p_basis0 in basis_band:
-            rates = _pure_rates(p_bit0, p_basis0)
-            gaps = channels @ (rates[:, 1] - rates[:, 0])
-            idx = int(np.argmax(gaps))
-            if gaps[idx] > best:
-                best = float(gaps[idx])
-                q = channels[idx]
-                location = {
-                    "q00": float(q[0]),
-                    "q01": float(q[1]),
-                    "q10": float(q[2]),
-                    "q11": float(q[3]),
-                    "p_bit0": float(p_bit0),
-                    "p_basis0": float(p_basis0),
-                    "difference": best,
-                }
-    return OracleReport(
-        target="one-step",
-        bound=bound,
-        max_difference=best,
-        max_violation=best - bound,
-        tightness_gap=bound - best,
-        max_gap_location=location,
-        points_checked=len(channels) * len(bit_band) * len(basis_band),
-        grid_resolution=grid_res,
-    )
+    return _scan("one-step", one_step_delta(dev), grid_res, cases(), grid_res**2, absolute=False)
 
 
 def _cross_basis_pure(p_bit0: float) -> tuple[np.ndarray, np.ndarray]:
     """Signed cross-basis gaps per one-operator channel.
 
     Returns (rec-phase minus dia-bit, dia-phase minus rec-bit), each a
-    length-4 array over the channels I, Z, X, XZ.
+    length-4 array over the channels I, Z, X, XZ: the p_z = 1 and p_z = 0
+    rows of :func:`_pure_rates`.
     """
-    source = build_source_state(p_bit0)
-    rec_vs_dia = []
-    dia_vs_rec = []
-    for channel in _PURE_CHANNELS:
-        in_rec = error_rates(apply_channel(source, channel, 1.0))
-        in_dia = error_rates(apply_channel(source, channel, 0.0))
-        rec_vs_dia.append(in_rec.e_phase - in_dia.e_bit)
-        dia_vs_rec.append(in_dia.e_phase - in_rec.e_bit)
-    return np.array(rec_vs_dia), np.array(dia_vs_rec)
+    in_rec, in_dia = _pure_rates(p_bit0, np.array([1.0, 0.0]))
+    return in_rec[:, 1] - in_dia[:, 0], in_dia[:, 1] - in_rec[:, 0]
 
 
 def evaluate_cross_basis_point(
@@ -208,41 +215,10 @@ def verify_cross_basis_bound(eps0: float, grid_res: int) -> OracleReport:
     absolute differences between the phase error in one basis and the
     bit error in the other.
     """
-    if grid_res < 3:
-        raise ValidationError("grid_res must be at least 3")
-    bound = phase_gap_bound(eps0)
-    channels = simplex_grid(grid_res)
-    bit_band = deviation_band(eps0, grid_res)
+    def cases():
+        for p_bit0 in deviation_band(eps0, grid_res):
+            rec_vs_dia, dia_vs_rec = _cross_basis_pure(p_bit0)
+            yield rec_vs_dia, {"p_bit0": float(p_bit0), "family": "rec_phase_vs_dia_bit"}
+            yield dia_vs_rec, {"p_bit0": float(p_bit0), "family": "dia_phase_vs_rec_bit"}
 
-    best = -np.inf
-    location: dict = {}
-    for p_bit0 in bit_band:
-        rec_vs_dia, dia_vs_rec = _cross_basis_pure(p_bit0)
-        for family, pure in (
-            ("rec_phase_vs_dia_bit", rec_vs_dia),
-            ("dia_phase_vs_rec_bit", dia_vs_rec),
-        ):
-            gaps = np.abs(channels @ pure)
-            idx = int(np.argmax(gaps))
-            if gaps[idx] > best:
-                best = float(gaps[idx])
-                q = channels[idx]
-                location = {
-                    "q00": float(q[0]),
-                    "q01": float(q[1]),
-                    "q10": float(q[2]),
-                    "q11": float(q[3]),
-                    "p_bit0": float(p_bit0),
-                    "family": family,
-                    "difference": best,
-                }
-    return OracleReport(
-        target="cross-basis",
-        bound=bound,
-        max_difference=best,
-        max_violation=best - bound,
-        tightness_gap=bound - best,
-        max_gap_location=location,
-        points_checked=len(channels) * len(bit_band),
-        grid_resolution=grid_res,
-    )
+    return _scan("cross-basis", phase_gap_bound(eps0), grid_res, cases(), grid_res, absolute=True)

@@ -291,8 +291,6 @@ def _cmd_sweep(args) -> tuple[dict, object, int, list[str], list[list]]:
 def _cmd_verify(args) -> tuple[dict, object, int]:
     from .bound_oracle import verify_cross_basis_bound, verify_one_step_bound
 
-    if args.grid < 3:
-        raise ValidationError(f"--grid must be at least 3, got {args.grid}")
     params = {
         "target": args.target,
         "eps0": args.eps0,

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InfeasibilityError, ValidationError
-from .quantum_core import binary_entropy
+from .quantum_core import PROB_ATOL, binary_entropy
 
-PROB_ATOL = 1e-12
 PHASE_BAND_TOL = 1e-9
 
 

@@ -35,6 +35,7 @@ from .keyrate import (
     one_step_delta,
     phase_gap_bound,
 )
+from .quantum_core import binary_entropy
 
 PENALTY_BASE = 1e3
 PENALTY_CAP = 1e6
@@ -46,6 +47,9 @@ DEGENERATE_AXIS_TOL = 1e-15
 GRID_BYTES_PER_CELL = 56
 GRID_MEMORY_BUDGET = 4 * 2**30
 MAX_GRID_CELLS = GRID_MEMORY_BUDGET // GRID_BYTES_PER_CELL
+# The polish's stop test: scipy's Nelder-Mead ``fatol`` and ``xatol``.
+OBJECTIVE_TOL = 1e-6
+VARIABLE_TOL = 1e-8
 # Grid cells per objective call in the scan: small enough for the
 # objective's temporaries to stay in cache (measured fastest on 9**5 cells).
 GRID_CHUNK = 8192
@@ -66,8 +70,6 @@ class SolverOptions:
     grid_points: int = 9
     refine_starts: int = 10
     max_iterations: int = 500
-    objective_tol: float = 1e-6
-    variable_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -145,7 +147,7 @@ def _libm_log2(x: np.ndarray) -> np.ndarray:
 def _minus_entropy(x: np.ndarray, log2=np.log2) -> np.ndarray:
     """``x log2 x + (1 - x) log2 (1 - x)`` of each entry, 0 outside (0, 1).
 
-    That is minus :func:`_entropy`, bit for bit: ``-x * log2(x) - (1 - x) *
+    That is minus :func:`binary_entropy`, bit for bit: ``-x * log2(x) - (1 - x) *
     log2(1 - x)`` only negates this sum, and ``1 - h_a - h_b`` is exactly
     ``(1 + s_a) + s_b`` for ``s = -h``.
     """
@@ -284,12 +286,6 @@ def _reduced_objective_vec(points: np.ndarray, constants, log2=np.log2) -> np.nd
     return np.where(penalty > 0.0, rate + PENALTY_BASE + np.minimum(penalty, PENALTY_CAP), rate)
 
 
-def _entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
 def _reduced_objective_scalar(
     problem: TwoStepProblem, p: float, a0: float, e00: float, e01: float, e10: float
 ) -> float:
@@ -297,8 +293,8 @@ def _reduced_objective_scalar(
 
     ``b if b > a else a`` and ``b if b < a else a`` spell ``max(a, b)`` and
     ``min(a, b)`` without the call, keeping their tie rule (``a`` wins).
-    The bit error rates go to :func:`_entropy` unclamped: it is 0 outside
-    (0, 1), as it would be at the clamped value.
+    The error rates are convex combinations of values in [0, 1], so they
+    go to :func:`binary_entropy` unclamped; it clamps the rounding.
     """
     q, rec_target, gap, band_lo, band_hi = problem.search_constants
 
@@ -337,14 +333,14 @@ def _reduced_objective_scalar(
         lo = (p_rec1 * (0.0 if 0.0 > lo0 else lo0) + p_rec2 * (0.0 if 0.0 > lo1 else lo1)) / p_rec
         hi = (p_rec1 * (1.0 if 1.0 < hi0 else hi0) + p_rec2 * (1.0 if 1.0 < hi1 else hi1)) / p_rec
         e_recpha = 0.5 if lo <= 0.5 <= hi else (hi if hi < 0.5 else lo)
-        rate += p_rec * (1.0 - _entropy(e_recbit) - _entropy(e_recpha))
+        rate += p_rec * (1.0 - binary_entropy(e_recbit) - binary_entropy(e_recpha))
     if p_dia > 0.0:
         e_diabit = (p_dia1 * e01 + p_dia2 * e11) / p_dia
         lo0, lo1, hi0, hi1 = e00 - gap, e10 - gap, e00 + gap, e10 + gap
         lo = (p_dia1 * (0.0 if 0.0 > lo0 else lo0) + p_dia2 * (0.0 if 0.0 > lo1 else lo1)) / p_dia
         hi = (p_dia1 * (1.0 if 1.0 < hi0 else hi0) + p_dia2 * (1.0 if 1.0 < hi1 else hi1)) / p_dia
         e_diapha = 0.5 if lo <= 0.5 <= hi else (hi if hi < 0.5 else lo)
-        rate += p_dia * (1.0 - _entropy(e_diabit) - _entropy(e_diapha))
+        rate += p_dia * (1.0 - binary_entropy(e_diabit) - binary_entropy(e_diapha))
 
     if penalty > 0.0:
         return rate + PENALTY_BASE + (PENALTY_CAP if PENALTY_CAP < penalty else penalty)
@@ -535,10 +531,9 @@ def _refine(objective, starts, labels, lower, upper, opts):
     Each row of ``starts`` (full points, with their own ``lower`` and
     ``upper`` bounds) follows ``scipy.optimize.minimize(method=
     "Nelder-Mead", bounds=...)`` of scipy 1.17 over its free axes, with
-    ``opts.max_iterations``, ``opts.objective_tol`` and
-    ``opts.variable_tol`` as ``maxiter``, ``fatol`` and ``xatol``.  Every
-    IEEE step, clip and tie rule is scipy's, so each row ends on scipy's
-    bits and iteration count.
+    ``opts.max_iterations``, ``OBJECTIVE_TOL`` and ``VARIABLE_TOL`` as
+    ``maxiter``, ``fatol`` and ``xatol``.  Every IEEE step, clip and tie
+    rule is scipy's, so each row ends on scipy's bits and iteration count.
 
     The rows run in lockstep.  Each step evaluates the reflection,
     expansion and both contractions of every active row in one call
@@ -602,7 +597,7 @@ def _refine(objective, starts, labels, lower, upper, opts):
     while count < opts.max_iterations and groups:
         finished = False
         for group in groups:
-            done = group.converged(opts.variable_tol, opts.objective_tol)
+            done = group.converged(VARIABLE_TOL, OBJECTIVE_TOL)
             if done is not None:
                 finish(group, done, count)
                 group.keep(~done)

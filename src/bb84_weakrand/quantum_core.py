@@ -75,18 +75,28 @@ class TwoQubitState:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValidationError(f"density matrix must be 4x4, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, rtol=0.0, atol=HERMITIAN_ATOL):
-            raise ValidationError("density matrix is not Hermitian within 1e-12")
-        trace = m.trace()
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"density matrix trace {trace} is not 1 within 1e-12")
-        lowest = float(np.linalg.eigvalsh(m)[0])
-        if lowest < PSD_EIGENVALUE_FLOOR:
-            raise ValidationError(
-                f"density matrix eigenvalue {lowest} below the {PSD_EIGENVALUE_FLOOR} floor"
-            )
+        check_density_matrices(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+
+def check_density_matrices(matrices: np.ndarray) -> None:
+    """Raise ValidationError unless every matrix of a ``(..., 4, 4)`` stack is a state.
+
+    Each must be Hermitian and of unit trace within 1e-12, with no
+    eigenvalue below the -1e-10 floor.
+    """
+    if not np.allclose(matrices, matrices.conj().swapaxes(-1, -2), rtol=0.0, atol=HERMITIAN_ATOL):
+        raise ValidationError("density matrix is not Hermitian within 1e-12")
+    trace = np.trace(matrices, axis1=-2, axis2=-1)
+    off = np.abs(trace - 1.0) > TRACE_ATOL
+    if off.any():
+        raise ValidationError(f"density matrix trace {trace[off][0]} is not 1 within 1e-12")
+    lowest = float(np.linalg.eigvalsh(matrices)[..., 0].min())
+    if lowest < PSD_EIGENVALUE_FLOOR:
+        raise ValidationError(
+            f"density matrix eigenvalue {lowest} below the {PSD_EIGENVALUE_FLOOR} floor"
+        )
 
 
 @dataclass(frozen=True)
@@ -195,14 +205,32 @@ def apply_channel(
     return TwoQubitState(out)
 
 
+def bell_projections(matrices: np.ndarray) -> np.ndarray:
+    """<phi_a| rho |phi_a> for a = 1..4 of each matrix of a ``(..., 4, 4)`` stack."""
+    return np.einsum("ai,...ij,aj->...a", _BELL_MATRIX, matrices, _BELL_MATRIX).real
+
+
+def bell_error_rates(matrices: np.ndarray) -> np.ndarray:
+    """(e_bit, e_phase) of each matrix of a ``(..., 4, 4)`` stack, shape ``(..., 2)``.
+
+    Each rate is range-checked and clamped as :class:`ErrorRatePair` does.
+    """
+    p = bell_projections(matrices)
+    rates = np.stack((p[..., 1] + p[..., 3], p[..., 2] + p[..., 3]), axis=-1)
+    outside = ~((rates >= -PROB_ATOL) & (rates <= 1.0 + PROB_ATOL))
+    if outside.any():
+        raise ValidationError(f"error rate {float(rates[outside][0])!r} outside [0, 1]")
+    rates[rates < 0.0] = 0.0
+    rates[rates > 1.0] = 1.0
+    return rates
+
+
 def bell_diagonal_probs(state: TwoQubitState) -> np.ndarray:
     """<phi_a| rho |phi_a> for a = 1..4, as a length-4 array."""
-    return np.einsum(
-        "ai,ij,aj->a", _BELL_MATRIX, state.matrix, _BELL_MATRIX
-    ).real
+    return bell_projections(state.matrix)
 
 
 def error_rates(state: TwoQubitState) -> ErrorRatePair:
     """Bit error (phi2 + phi4 weight) and phase error (phi3 + phi4 weight)."""
-    p = bell_diagonal_probs(state)
-    return ErrorRatePair(e_bit=float(p[1] + p[3]), e_phase=float(p[2] + p[3]))
+    e_bit, e_phase = bell_error_rates(state.matrix).tolist()
+    return ErrorRatePair(e_bit, e_phase)

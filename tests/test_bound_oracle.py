@@ -9,6 +9,9 @@ from bb84_weakrand import bound_oracle
 from bb84_weakrand.errors import ValidationError
 from bb84_weakrand.bound_oracle import (
     MAX_SIMPLEX_ROWS,
+    _PURE_CHANNELS,
+    _cross_basis_pure,
+    _pure_rates,
     deviation_band,
     evaluate_cross_basis_point,
     evaluate_one_step_point,
@@ -17,7 +20,13 @@ from bb84_weakrand.bound_oracle import (
     verify_one_step_bound,
 )
 from bb84_weakrand.keyrate import DeviationParams
-from bb84_weakrand.quantum_core import PauliChannel
+from bb84_weakrand.output import canonical_json, checksum_of
+from bb84_weakrand.quantum_core import (
+    PauliChannel,
+    apply_channel,
+    build_source_state,
+    error_rates,
+)
 
 # 50-digit decimal reference for 1/2 - sqrt(0.24).
 GAP_AT_01 = 0.01010205144336438036054318505882172161
@@ -68,10 +77,12 @@ class TestGrids:
             simplex_grid(6)
 
     def test_grid_res_minimum(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="at least 3, got 2"):
             verify_one_step_bound(DeviationParams(0.0, 0.0), 2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="at least 3, got 2"):
             verify_cross_basis_bound(0.1, 2)
+        with pytest.raises(ValidationError, match="at least 3, got -1"):
+            verify_one_step_bound(DeviationParams(0.1, 0.1), -1)
 
 
 class TestOneStepBound:
@@ -165,3 +176,85 @@ class TestReportShape:
         assert data["passed"] is True
         assert data["points_checked"] == report.points_checked
         assert set(data["max_gap_location"]) >= {"q00", "q01", "q10", "q11"}
+
+
+# Canonical-JSON checksums of reports as the per-point oracle wrote them:
+# (target, eps0, eps1, grid) -> checksum.  The first two are the
+# benchmark's `bounds` goldens.
+REPORT_CHECKSUMS = {
+    ("one-step", 0.1, 0.1, 41):
+        "sha256:7d33f31bf4b1787d83e68b5d3eb219afe364ac36de90618e2a87140aaad86414",
+    ("cross-basis", 0.1, None, 81):
+        "sha256:61e7cfcf2714d723b2840d9bafb5ba7ae04db3697b9bf2f4655fbb553055651b",
+    ("one-step", 0.1, 0.0, 3):
+        "sha256:e3b30417be8d5799eb4250389095a47a7ea49d207f0cafdd2787c8e5be423ad0",
+    ("one-step", 0.0, 0.1, 5):
+        "sha256:8c8ba8620e7bb8ad7e5c588040cd6daa859d80a03bc8d4987b34c05b50b5531f",
+    ("one-step", 0.25, 0.5, 7):
+        "sha256:707b2086cd33b00a269a27b88ba3f3671e18eccb1b78e3a7a8d05a245344ab3b",
+    ("one-step", 0.5, 0.5, 9):
+        "sha256:b260587812e86aeba51c141dff0bb48169ded64fbeb157cb8af1882b1a7a1336",
+    ("one-step", 0.37, 0.01, 12):
+        "sha256:4e3b518bbb6e55c8d1f5ca8b1f8cdfed5bf653d68bbce4e4710bdc35c84ac0b8",
+    ("cross-basis", 0.0, None, 3):
+        "sha256:2cb5856b9edfa0e8f783b0e1a31615aad79144aa455aba5bd082d12cab810092",
+    ("cross-basis", 0.3, None, 7):
+        "sha256:bf90fe3513f75c6c54ebee7d08b2bdd656747520f8a98a1081506d9301e2064d",
+    ("cross-basis", 0.5, None, 9):
+        "sha256:095b2dc06041f9603fafc8360e72310f356e787e1eaaa4ef1ec5cfc94b9318e7",
+    ("cross-basis", 0.05, None, 12):
+        "sha256:0c2e031db60e4272b8b17690050bd4effa6236ca3d7ec3b84a275fe3af8f1ede",
+}
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestSameBytes:
+    @pytest.mark.parametrize(
+        "case", list(REPORT_CHECKSUMS), ids=lambda case: "-".join(map(str, case))
+    )
+    def test_report_checksum(self, case):
+        target, eps0, eps1, grid = case
+        if target == "one-step":
+            report = verify_one_step_bound(DeviationParams(eps0, eps1), grid)
+        else:
+            report = verify_cross_basis_bound(eps0, grid)
+        assert checksum_of(canonical_json(report.to_dict())) == REPORT_CHECKSUMS[case]
+
+    @pytest.mark.parametrize("eps0", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("eps1", [0.0, 0.1, 0.5])
+    def test_band_rates_match_direct_states(self, eps0, eps1):
+        basis_band = deviation_band(eps1, 9)
+        for p_bit0 in deviation_band(eps0, 9):
+            source = build_source_state(p_bit0)
+            direct = [
+                [
+                    (pair.e_bit, pair.e_phase)
+                    for pair in (
+                        error_rates(apply_channel(source, channel, p_basis0))
+                        for channel in _PURE_CHANNELS
+                    )
+                ]
+                for p_basis0 in basis_band
+            ]
+            assert hexes(_pure_rates(p_bit0, basis_band)) == hexes(direct)
+
+    @pytest.mark.parametrize("p_bit0", [0.0, 0.1, 0.4, 0.5, 0.75, 1.0])
+    def test_cross_basis_rows_match_direct_states(self, p_bit0):
+        direct = [evaluate_cross_basis_point(channel, p_bit0) for channel in _PURE_CHANNELS]
+        rec_vs_dia, dia_vs_rec = _cross_basis_pure(p_bit0)
+        assert hexes(rec_vs_dia) == hexes([rec for rec, _ in direct])
+        assert hexes(dia_vs_rec) == hexes([dia for _, dia in direct])
+
+    def test_every_band_state_is_validated(self, monkeypatch):
+        checked = []
+        original = bound_oracle.check_density_matrices
+        monkeypatch.setattr(
+            bound_oracle,
+            "check_density_matrices",
+            lambda states: checked.append(states.shape) or original(states),
+        )
+        verify_one_step_bound(DeviationParams(0.1, 0.2), 5)
+        assert checked == [(5, 4, 4, 4)] * 5

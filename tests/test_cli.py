@@ -266,6 +266,11 @@ class TestVerifyCommand:
         assert proc.returncode == EXIT_VALIDATION
 
     @pytest.mark.parametrize("target", ["one-step", "cross-basis"])
+    def test_grid_below_three_rejected(self, target, capsys):
+        assert main(["verify", "--target", target, "--grid", "2"]) == EXIT_VALIDATION
+        assert "at least 3, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["one-step", "cross-basis"])
     def test_grid_above_cap_rejected(self, target, capsys):
         assert main(["verify", "--target", target, "--grid", "1000"]) == EXIT_VALIDATION
         assert "above the cap" in capsys.readouterr().err

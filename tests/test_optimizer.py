@@ -22,7 +22,9 @@ from bb84_weakrand.optimizer import (
     GRID_BYTES_PER_CELL,
     GRID_MEMORY_BUDGET,
     MAX_GRID_CELLS,
+    OBJECTIVE_TOL,
     PENALTY_BASE,
+    VARIABLE_TOL,
     SolverOptions,
     TwoStepProblem,
     _grid_axes,
@@ -422,8 +424,8 @@ class TestNelderMeadMatchesScipy:
                 bounds=list(zip(lower, upper)),
                 options={
                     "maxiter": opts.max_iterations,
-                    "fatol": opts.objective_tol,
-                    "xatol": opts.variable_tol,
+                    "fatol": OBJECTIVE_TOL,
+                    "xatol": VARIABLE_TOL,
                 },
             )
             # The polish also evaluates the trial points scipy skips.
@@ -487,8 +489,8 @@ class TestBatchedPolish:
                 [bounds[i][0] for i in free],
                 [bounds[i][1] for i in free],
                 opts.max_iterations,
-                opts.objective_tol,
-                opts.variable_tol,
+                OBJECTIVE_TOL,
+                VARIABLE_TOL,
             )
             assert hexes(points[row, free]) == hexes(x)
             assert values[row].hex() == fun.hex()

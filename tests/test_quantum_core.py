@@ -13,8 +13,10 @@ from bb84_weakrand.quantum_core import (
     TwoQubitState,
     apply_channel,
     bell_diagonal_probs,
+    bell_error_rates,
     binary_entropy,
     build_source_state,
+    check_density_matrices,
     error_rates,
 )
 
@@ -188,6 +190,21 @@ class TestErrorRates:
             lhs = pair.e_bit + pair.e_phase - 2.0 * probs[3]
             assert lhs == pytest.approx(probs[1] + probs[2], abs=1e-12)
 
+    def test_stack_rates_match_per_state(self, rng):
+        states = [random_state(rng) for _ in range(12)]
+        stack = np.stack([state.matrix for state in states]).reshape(3, 4, 4, 4)
+        rates = bell_error_rates(stack)
+        assert rates.shape == (3, 4, 2)
+        for state, (e_bit, e_phase) in zip(states, rates.reshape(-1, 2).tolist()):
+            assert error_rates(state) == ErrorRatePair(e_bit, e_phase)
+
+    def test_stack_rates_clamped_or_rejected_like_pairs(self):
+        near = np.diag([0.5, -1e-14, -1e-14, 0.5 + 2e-14]).astype(complex)
+        assert bell_error_rates(near[None]).tolist() == [[0.0, 0.5]]
+        far = np.diag([0.5, -0.1, -0.1, 0.7]).astype(complex)
+        with pytest.raises(ValidationError, match="outside"):
+            bell_error_rates(np.stack([near, far]))
+
     def test_bell_completeness(self, rng):
         for _ in range(200):
             assert bell_diagonal_probs(random_state(rng)).sum() == pytest.approx(
@@ -218,6 +235,22 @@ class TestTypeValidation:
         bad = np.diag([0.8, 0.4, -0.2, 0.0]).astype(complex)
         with pytest.raises(ValidationError, match="eigenvalue"):
             TwoQubitState(bad)
+
+    @pytest.mark.parametrize(
+        "name, match",
+        [("hermitian", "Hermitian"), ("trace", "trace"), ("positive", "eigenvalue")],
+    )
+    def test_stack_check_rejects_one_bad_state(self, rng, name, match):
+        stack = np.stack([random_state(rng).matrix for _ in range(6)]).reshape(2, 3, 4, 4)
+        check_density_matrices(stack)
+        bad = {
+            "hermitian": np.eye(4) / 4.0 + 0.3 * np.eye(4, k=1),
+            "trace": np.eye(4),
+            "positive": np.diag([0.8, 0.4, -0.2, 0.0]),
+        }[name]
+        stack[1, 2] = bad
+        with pytest.raises(ValidationError, match=match):
+            check_density_matrices(stack)
 
     def test_error_rate_pair_range(self):
         with pytest.raises(ValidationError):
