@@ -104,12 +104,19 @@ def simplex_grid(resolution: int) -> np.ndarray:
             f"a simplex grid of resolution {resolution} has {n_rows} rows, "
             f"above the cap of {MAX_SIMPLEX_ROWS}; use a smaller grid"
         )
-    rows = []
-    for a in range(resolution + 1):
-        for b in range(resolution + 1 - a):
-            for c in range(resolution + 1 - a - b):
-                rows.append((a, b, c, resolution - a - b - c))
-    return np.array(rows, dtype=float) / float(resolution)
+    # The compositions (a, b, c, resolution - a - b - c) in lexicographic
+    # order: each a is followed by resolution + 1 - a values of b, each
+    # (a, b) by resolution + 1 - a - b values of c.
+    a = np.repeat(np.arange(resolution + 1), np.arange(resolution + 1, 0, -1))
+    b = _ramps(np.arange(resolution + 1, 0, -1))
+    c_counts = resolution + 1 - a - b
+    a, b, c = np.repeat(a, c_counts), np.repeat(b, c_counts), _ramps(c_counts)
+    return np.stack((a, b, c, resolution - a - b - c), axis=1) / float(resolution)
+
+
+def _ramps(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each n of ``lengths``, concatenated."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def deviation_band(eps: float, resolution: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .keyrate import (
     one_step_rate,
     strong_randomness_rate,
 )
-from .output import RunManifest, canonical_json, csv_text, flatten
+from .output import MAX_SEED, RunManifest, canonical_json, csv_text, flatten
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -414,6 +414,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     csv_header = csv_rows = None
     try:
+        if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+            raise ValidationError(f"--seed {args.seed} outside [0, 2^64)")
         if args.command == "rate":
             params, result, code = _cmd_rate(args)
         elif args.command == "sweep":

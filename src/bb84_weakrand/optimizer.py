@@ -41,9 +41,11 @@ PENALTY_BASE = 1e3
 PENALTY_CAP = 1e6
 DEGENERATE_AXIS_TOL = 1e-15
 # MAX_GRID_CELLS keeps the grid scan within GRID_MEMORY_BUDGET at
-# GRID_BYTES_PER_CELL, the slope of the peak RSS of `rate --method two-step
-# --grid N` over N = 10 to 20 (55.5 B per cell, rounded up; the points,
-# their values and the partial sort's copy of the values).
+# GRID_BYTES_PER_CELL, an upper bound on the slope of the peak RSS of `rate
+# --method two-step --grid N` over N = 10 to 20.  That slope is 17 B per
+# cell (each cell's value, the partial sort's copy of the values and its
+# masks), for a problem with feasible cells and for one without; 56 B, the
+# slope of a scan that built every cell's point, keeps the cap in place.
 GRID_BYTES_PER_CELL = 56
 GRID_MEMORY_BUDGET = 4 * 2**30
 MAX_GRID_CELLS = GRID_MEMORY_BUDGET // GRID_BYTES_PER_CELL
@@ -62,8 +64,9 @@ class SolverOptions:
 
     The scan grid has ``grid_points`` to the power of the number of
     non-degenerate axes cells, at most ``MAX_GRID_CELLS`` (76,695,844: the
-    cells that fit a 4 GiB scan at 56 B each, so up to 37 points on each
-    of the five two-step axes).  A larger grid is rejected with a
+    cells that fit a 4 GiB scan at 56 B each, an upper bound on the
+    measured cost per cell, so up to 37 points on each of the five
+    two-step axes).  A larger grid is rejected with a
     ValidationError before any array is built.
     """
 
@@ -363,14 +366,59 @@ def _grid_axes(bounds: list[tuple[float, float]], grid_points: int) -> list[np.n
     ]
 
 
-def _grid_points_array(axes: list[np.ndarray]) -> np.ndarray:
-    """Every combination of the axis values, one row each, last axis fastest."""
-    grid = np.empty([len(axis) for axis in axes] + [len(axes)])
-    for i, axis in enumerate(axes):
-        shape = [1] * len(axes)
-        shape[i] = len(axis)
-        grid[..., i] = axis.reshape(shape)
-    return grid.reshape(-1, len(axes))
+def _grid_points_array(axes: list[np.ndarray], cells: np.ndarray | None = None) -> np.ndarray:
+    """Every combination of the axis values, one row each, last axis fastest.
+
+    With ``cells``, only the rows at those flat indices of that enumeration.
+    """
+    shape = [len(axis) for axis in axes]
+    if cells is None:
+        cells = np.arange(math.prod(shape))
+    index = np.unravel_index(cells, shape)
+    return np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+
+
+def _penalty_free_cells(axes: list[np.ndarray], constants) -> np.ndarray:
+    """Flat indices, ascending, of the grid cells that carry no penalty.
+
+    Repeats :func:`_elimination`'s operations on the grid axes (p_lambda1,
+    a0, e_b00, e_b01, e_b10), so a cell is kept exactly when its penalty
+    is 0: ``a1`` inside the basis band, ``e11`` in [0, 1], and a zero
+    numerator wherever a weight vanishes.  ``a1`` and the weights depend
+    on (p_lambda1, a0) only; the ``e11`` residual is built by broadcasting,
+    one slab of fixed p_lambda1 at a time, so no temporary spans the grid.
+    """
+    q, rec_target, _, band_lo, band_hi = constants
+    p_axis, a0, e00, e01, e10 = axes
+    p = p_axis[:, None]
+    one_minus_p = 1.0 - p
+    a1, collapsed = _eliminate(rec_target - p * a0, one_minus_p, 0.5)
+    clamped = a1.clip(band_lo, band_hi)
+    in_band = a1 == clamped
+    if collapsed is not None:
+        in_band &= collapsed == 0.0
+    w00, w01 = a0 * p, (1.0 - a0) * p
+    w10, w11 = clamped * one_minus_p, (1.0 - clamped) * one_minus_p
+
+    slab = math.prod(len(axis) for axis in axes[1:])
+    found = []
+    for i in np.flatnonzero(in_band.any(axis=1)):
+        # q - bits[0] - bits[1] - weights[0, 1] * e01 over (a0, e00, e01, e10).
+        residual = (q - w00[i][:, None] * e00)[:, :, None] - (w10[i][:, None] * e10)[:, None]
+        residual = residual[:, :, None] - (w01[i][:, None] * e01)[:, None, :, None]
+        e11, weightless = _eliminate(residual, w11[i][:, None, None, None], 0.0)
+        keep = (e11 >= 0.0) & (e11 <= 1.0) & in_band[i][:, None, None, None]
+        if weightless is not None:
+            keep &= weightless == 0.0
+        found.append(i * slab + np.flatnonzero(keep))
+    return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
+
+
+def _scan_cells(axes, constants, cells: np.ndarray, values: np.ndarray) -> None:
+    """Writes the objective at each of the grid ``cells`` into ``values``."""
+    for j in range(0, len(cells), GRID_CHUNK):
+        chunk = cells[j:j + GRID_CHUNK]
+        values[chunk] = _reduced_objective_vec(_grid_points_array(axes, chunk), constants)
 
 
 def _smallest(values: np.ndarray, count: int) -> np.ndarray:
@@ -637,6 +685,20 @@ def _box_search(constants, opts):
     unit cube with the basis band on the ``a0`` axis.  Each box keeps the
     best cell of its grid and polishes its ``opts.refine_starts`` best
     cells.  Returns one ``(point, report)`` per problem, in order.
+
+    The scan evaluates the objective only where it can matter.  A
+    pre-pass, :func:`_penalty_free_cells`, finds the cells that carry no
+    penalty (3.1 % of the cells of a 36-point sweep over QBERs up to 0.11
+    at the default grid), and the objective runs on those alone.  A penalised value exceeds ``PENALTY_BASE - 1``
+    and an unpenalised one is at most 1, so while at least
+    ``max(refine_starts, 1)`` of them score below ``PENALTY_BASE / 2``, no
+    other cell can be among the best.  Otherwise, as for a problem with no
+    feasible cell, a second pass evaluates every remaining cell.  Every
+    value is the elementwise objective, the same bits in any chunk, and
+    the best cells are taken from a full-length array that holds +inf
+    where nothing was evaluated, so they and their index tie order are
+    those of a scan of every cell.  ``grid_evaluations`` reports the
+    grid's cells, evaluated or not.
     """
     boxes = [
         [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
@@ -644,20 +706,24 @@ def _box_search(constants, opts):
     ]
     seeds, starts = [], []
     for own, bounds in zip(constants, boxes):
-        points = _grid_points_array(_grid_axes(bounds, opts.grid_points))
-        values = np.concatenate(
-            [
-                _reduced_objective_vec(points[j:j + GRID_CHUNK], own)
-                for j in range(0, len(points), GRID_CHUNK)
-            ]
-        )
+        axes = _grid_axes(bounds, opts.grid_points)
+        n_cells = math.prod(len(axis) for axis in axes)
+        n_starts = min(opts.refine_starts, n_cells)
+        values = np.full(n_cells, np.inf)
+        cells = _penalty_free_cells(axes, own)
+        _scan_cells(axes, own, cells, values)
+        if np.count_nonzero(values[cells] < PENALTY_BASE / 2) < max(n_starts, 1):
+            rest = np.ones(n_cells, dtype=bool)
+            rest[cells] = False
+            _scan_cells(axes, own, np.flatnonzero(rest), values)
+            del rest
         # Grid enumeration is lexicographic, so breaking ties by index makes
         # the choice of the best cells deterministic.
-        n_starts = min(opts.refine_starts, len(points))
         order = _smallest(values, max(n_starts, 1))
-        starts.append(points[order[:n_starts]])
-        seeds.append((points[order[0]].copy(), float(values[order[0]]), len(points), n_starts))
-        del points, values  # one grid at a time
+        points = _grid_points_array(axes, order)
+        starts.append(points[:n_starts])
+        seeds.append((points[0], float(values[order[0]]), n_cells, n_starts))
+        del values, cells  # one grid at a time
 
     owners = np.repeat(np.arange(len(boxes)), [seed[3] for seed in seeds])
     table = np.array(constants).T

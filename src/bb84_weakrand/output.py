@@ -17,6 +17,9 @@ from datetime import datetime, timezone
 from .errors import ValidationError
 
 FLOAT_SIG_DIGITS = 9
+# Run seeds are unsigned 64-bit integers, as the manifest records them and
+# the simulator's generator takes them.
+MAX_SEED = 2**64 - 1
 
 
 def format_float(value: float) -> str:

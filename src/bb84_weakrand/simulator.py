@@ -28,9 +28,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
 from .keyrate import HiddenVariableModel, one_step_rate
+from .output import MAX_SEED
 from .quantum_core import PauliChannel
-
-MAX_SEED = 2**64 - 1
 
 # Pulses drawn and reduced at a time.  A chunk's draws take 1 MiB; on 4M
 # pulses 2**14 ran as fast as 2**16 and peaked 5 MB lower, and 2**18 and

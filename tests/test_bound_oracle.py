@@ -60,6 +60,19 @@ class TestGrids:
         for vertex in np.eye(4):
             assert any(np.array_equal(row, vertex) for row in grid)
 
+    def test_simplex_rows_are_the_composition_loop(self):
+        for resolution in range(1, 41):
+            rows = [
+                (a, b, c, resolution - a - b - c)
+                for a in range(resolution + 1)
+                for b in range(resolution + 1 - a)
+                for c in range(resolution + 1 - a - b)
+            ]
+            expected = np.array(rows, dtype=float) / float(resolution)
+            grid = simplex_grid(resolution)
+            assert grid.shape == expected.shape
+            assert grid.tobytes() == expected.tobytes()
+
     def test_band_includes_endpoints(self):
         band = deviation_band(0.1, 21)
         assert band[0] == pytest.approx(0.4, abs=1e-15)

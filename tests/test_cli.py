@@ -397,3 +397,27 @@ class TestOutputHandling:
         assert main(["rate", "--method", "one-step", "--qber", "0.02"]) == EXIT_OK
         assert main(["rate", "--method", "one-step", "--qber", "2"]) == EXIT_VALIDATION
         capsys.readouterr()
+
+
+# One cheap invocation of each subcommand that takes --seed.
+SEED_ARGV = {
+    "rate": ["rate", "--method", "two-step", "--qber", "0.02", "--grid", "2", "--starts", "1"],
+    "sweep": ["sweep", "--qber", "0:0.02:0.01", "--dev", "0,0.1", "--method", "two-step"],
+    "verify": ["verify", "--target", "cross-basis", "--eps0", "0.1", "--grid", "3"],
+    "simulate": ["simulate", "--pulses", "10"],
+}
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("command", sorted(SEED_ARGV))
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_validation(self, command, seed, capsys):
+        assert main([*SEED_ARGV[command], "--seed", str(seed)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--seed {seed} outside [0, 2^64)" in captured.err
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_is_inclusive(self, seed, capsys):
+        assert main([*SEED_ARGV["rate"], "--seed", str(seed)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["manifest"]["seed"] == seed

@@ -5,6 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from grid_scan_reference import box_search as grid_scan_box_search
+from grid_scan_reference import grid_points_array
 from nelder_mead_reference import clip, nelder_mead
 from rebuild_reference import reconstruct_scenario
 
@@ -27,9 +29,12 @@ from bb84_weakrand.optimizer import (
     VARIABLE_TOL,
     SolverOptions,
     TwoStepProblem,
+    _box_search,
+    _elimination,
     _grid_axes,
     _grid_points_array,
     _libm_log2,
+    _penalty_free_cells,
     _reduced_objective_scalar,
     _reduced_objective_vec,
     _reconstruct_scenario,
@@ -324,6 +329,75 @@ class TestGridCap:
             _grid_axes(self.BOX[:1], 10**9)
 
 
+# (q, eps0, eps1, basis balance): a degenerate basis axis (eps1 = 0) and the
+# widest one (eps1 = 1/2), q at both ends, balances off 1/2, and three
+# balances outside their basis bands, which no cell meets.
+GRID_SCAN_PROBLEMS = [
+    (0.0, 0.0, 0.0, 0.5), (0.5, 0.0, 0.0, 0.5), (0.02, 0.0, 0.1, 0.5),
+    (0.0, 0.1, 0.5, 0.5), (0.5, 0.5, 0.5, 0.5), (0.03, 0.1, 0.1, 0.45),
+    (0.1, 0.05, 0.2, 0.3), (0.04, 0.0, 0.45, 0.5), (0.25, 0.2, 0.5, 0.99),
+    (0.02, 0.0, 0.1, 0.99), (0.0, 0.0, 0.0, 0.99), (0.3, 0.1, 0.1, 0.3),
+]
+# (grid points, refine starts): no start, one, the default ten, and more
+# starts than a grid has penalty-free cells, over grids 2 to 9.
+GRID_SCAN_OPTIONS = [(2, 0), (3, 1), (4, 100), (5, 10), (6, 40), (7, 1), (8, 0), (9, 10)]
+
+
+def _grid_scan_case(grid, refine_starts):
+    constants = [
+        TwoStepProblem(q, DeviationParams(eps0, eps1), basis).search_constants
+        for q, eps0, eps1, basis in GRID_SCAN_PROBLEMS
+    ]
+    opts = SolverOptions(grid_points=grid, refine_starts=refine_starts, max_iterations=40)
+    return constants, opts
+
+
+def _penalty_free_reference(axes, constants):
+    """Flat indices of the cells whose ``_elimination`` penalty is 0, from every row."""
+    *_, penalty = _elimination(grid_points_array(axes), constants)
+    return np.flatnonzero(penalty == 0.0)
+
+
+class TestGridScan:
+    """The scan of the penalty-free cells picks what a scan of every cell picks."""
+
+    @pytest.mark.parametrize("grid, refine_starts", GRID_SCAN_OPTIONS)
+    def test_box_search_matches_full_scan(self, grid, refine_starts):
+        constants, opts = _grid_scan_case(grid, refine_starts)
+        ours = _box_search(constants, opts)
+        expected = grid_scan_box_search(constants, opts)
+        assert [hexes(point) for point, _ in ours] == [hexes(point) for point, _ in expected]
+        assert [repr(report) for _, report in ours] == [repr(report) for _, report in expected]
+
+    def test_cases_reach_both_passes(self):
+        """Some cases pick their starts from the penalty-free cells alone, some need every cell."""
+        passes = set()
+        for grid, refine_starts in GRID_SCAN_OPTIONS:
+            constants, _ = _grid_scan_case(grid, refine_starts)
+            for own in constants:
+                bounds = [(0.0, 1.0), own[3:], (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+                axes = _grid_axes(bounds, grid)
+                free = _penalty_free_cells(axes, own)
+                passes.add(len(free) >= max(refine_starts, 1))
+                if not own[3] <= own[1] <= own[4]:
+                    assert len(free) == 0
+        assert passes == {True, False}
+
+    def test_flags_exactly_the_penalty_free_cells(self, rng):
+        for _ in range(40):
+            eps1 = float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5)]))
+            problem = TwoStepProblem(
+                q_target=float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5)])),
+                dev=DeviationParams(float(rng.uniform(0.0, 0.5)), eps1),
+                observed_basis_prob=float(rng.choice([0.5, rng.uniform(0.01, 0.99)])),
+            )
+            own = problem.search_constants
+            bounds = [(0.0, 1.0), own[3:], (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+            axes = _grid_axes(bounds, int(rng.integers(2, 13)))
+            flagged = _penalty_free_cells(axes, own)
+            assert flagged.tolist() == _penalty_free_reference(axes, own).tolist()
+
+
 class TestSimplexHelpers:
     def test_clip_matches_numpy_on_ties_and_signed_zeros(self):
         cases = [
@@ -534,6 +608,7 @@ class TestBatchedPolish:
         mesh = np.meshgrid(*axes, indexing="ij")
         expected = np.stack([m.ravel() for m in mesh], axis=1)
         assert hexes(_grid_points_array(axes)) == hexes(expected)
+        assert hexes(_grid_points_array(axes, np.array([5, 0, 3]))) == hexes(expected[[5, 0, 3]])
 
 
 # The two-step points of the benchmark's `curves` sweep.
