@@ -14,14 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InfeasibilityError, ValidationError
-from .quantum_core import PROB_ATOL, binary_entropy
+from .quantum_core import PROB_ATOL, binary_entropy, check_prob
 
 PHASE_BAND_TOL = 1e-9
-
-
-def _check_prob(name: str, value: float) -> None:
-    if not -PROB_ATOL <= value <= 1.0 + PROB_ATOL:
-        raise ValidationError(f"{name}={value!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -39,10 +34,7 @@ class DeviationParams:
 
     def __post_init__(self):
         for name in ("eps0", "eps1"):
-            eps = getattr(self, name)
-            if not -PROB_ATOL <= eps <= 0.5 + PROB_ATOL:
-                raise ValidationError(f"{name}={eps!r} outside [0, 0.5]")
-            object.__setattr__(self, name, min(max(eps, 0.0), 0.5))
+            object.__setattr__(self, name, check_prob(name, getattr(self, name), 0.5))
 
 
 def phase_gap_bound(eps0: float) -> float:
@@ -51,9 +43,7 @@ def phase_gap_bound(eps0: float) -> float:
     Equals 1/2 - sqrt(1/4 - eps0^2): zero for unbiased encoding, 1/2 for
     a fully deterministic one.
     """
-    if not -PROB_ATOL <= eps0 <= 0.5 + PROB_ATOL:
-        raise ValidationError(f"eps0={eps0!r} outside [0, 0.5]")
-    eps0 = min(max(eps0, 0.0), 0.5)
+    eps0 = check_prob("eps0", eps0, 0.5)
     return 0.5 - math.sqrt(0.25 - eps0 * eps0)
 
 
@@ -106,12 +96,11 @@ class StrongRandomnessInputs:
     e_obs: float
 
     def __post_init__(self):
-        _check_prob("p_valid", self.p_valid)
-        if not -PROB_ATOL <= self.s_a_given_e <= 1.0 + PROB_ATOL:
-            raise ValidationError(f"s_a_given_e={self.s_a_given_e!r} outside [0, 1]")
+        check_prob("p_valid", self.p_valid)
+        check_prob("s_a_given_e", self.s_a_given_e)
         if self.f_ec < 1.0 - PROB_ATOL:
             raise ValidationError(f"f_ec={self.f_ec!r} below 1")
-        _check_prob("e_obs", self.e_obs)
+        check_prob("e_obs", self.e_obs)
 
 
 def strong_randomness_rate(inputs: StrongRandomnessInputs) -> KeyRateResult:
@@ -131,10 +120,7 @@ def one_step_rate(q_bit: float, dev: DeviationParams) -> KeyRateResult:
     adversarial phase error is the feasible value nearest 1/2, and
     letting it pass 1/2 would spuriously lower the entropy cost.
     """
-    _check_prob("q_bit", q_bit)
-    if q_bit > 0.5 + PROB_ATOL:
-        raise ValidationError(f"sifted QBER q_bit={q_bit!r} above 0.5")
-    q_bit = min(max(q_bit, 0.0), 0.5)
+    q_bit = check_prob("sifted QBER q_bit", q_bit, 0.5)
     delta = one_step_delta(dev)
     e_phase = min(q_bit + delta, 0.5)
     rate = 1.0 - binary_entropy(e_phase) - binary_entropy(q_bit)
@@ -160,8 +146,8 @@ class HiddenVariableModel:
     p_x1_given_l1: tuple[float, float]
 
     def __post_init__(self):
-        _check_prob("p_lambda0", self.p_lambda0)
-        _check_prob("p_lambda1", self.p_lambda1)
+        check_prob("p_lambda0", self.p_lambda0)
+        check_prob("p_lambda1", self.p_lambda1)
         for name, pair in (
             ("p_x0_given_l0", self.p_x0_given_l0),
             ("p_x1_given_l1", self.p_x1_given_l1),
@@ -169,7 +155,7 @@ class HiddenVariableModel:
             if len(pair) != 2:
                 raise ValidationError(f"{name} must hold exactly two probabilities")
             for i, p in enumerate(pair):
-                _check_prob(f"{name}[{i}]", p)
+                check_prob(f"{name}[{i}]", p)
         object.__setattr__(self, "p_x0_given_l0", tuple(self.p_x0_given_l0))
         object.__setattr__(self, "p_x1_given_l1", tuple(self.p_x1_given_l1))
 
@@ -223,7 +209,7 @@ class TwoStepScenario:
 
     def __post_init__(self):
         for name in ("e_b00", "e_b01", "e_b10", "e_b11", "e_p00", "e_p01", "e_p10", "e_p11"):
-            _check_prob(name, getattr(self, name))
+            check_prob(name, getattr(self, name))
         total = self.p_rec1 + self.p_rec2 + self.p_dia1 + self.p_dia2
         if abs(total - 1.0) > PROB_ATOL:
             raise ValidationError(f"basis weights sum to {total!r}, expected 1")
@@ -369,9 +355,9 @@ def evaluate_two_step_scenario(
         "e_recpha": e_recpha,
         "e_diabit": e_diabit,
         "e_diapha": e_diapha,
-        "h_recbit": binary_entropy(min(max(e_recbit, 0.0), 1.0)),
-        "h_recpha": binary_entropy(min(max(e_recpha, 0.0), 1.0)),
-        "h_diabit": binary_entropy(min(max(e_diabit, 0.0), 1.0)),
-        "h_diapha": binary_entropy(min(max(e_diapha, 0.0), 1.0)),
+        "h_recbit": binary_entropy(e_recbit),
+        "h_recpha": binary_entropy(e_recpha),
+        "h_diabit": binary_entropy(e_diabit),
+        "h_diapha": binary_entropy(e_diapha),
     }
     return KeyRateResult(rate=rate, diagnostics=diagnostics)

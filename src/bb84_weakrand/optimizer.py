@@ -41,14 +41,20 @@ PENALTY_BASE = 1e3
 PENALTY_CAP = 1e6
 DEGENERATE_AXIS_TOL = 1e-15
 # MAX_GRID_CELLS keeps the grid scan within GRID_MEMORY_BUDGET at
-# GRID_BYTES_PER_CELL, an upper bound on the slope of the peak RSS of `rate
-# --method two-step --grid N` over N = 10 to 20.  That slope is 17 B per
-# cell (each cell's value, the partial sort's copy of the values and its
-# masks), for a problem with feasible cells and for one without; 56 B, the
-# slope of a scan that built every cell's point, keeps the cap in place.
+# GRID_BYTES_PER_CELL, an upper bound on the slope of the peak RSS of a
+# two-step solve over --grid 10 to 20: 1.6 B per cell when enough cells are
+# penalty-free (`rate --method two-step --qber 0.05 --eps1 0.1`), 23 B when
+# every cell is scanned (basis balance 0.99: each cell's index and value and
+# the partial sort's copy and masks).  56 B, a scan that built every cell's
+# point, keeps the cap in place.
 GRID_BYTES_PER_CELL = 56
 GRID_MEMORY_BUDGET = 4 * 2**30
 MAX_GRID_CELLS = GRID_MEMORY_BUDGET // GRID_BYTES_PER_CELL
+# MAX_POLISH_ROWS keeps one batch's polished starts within the same budget:
+# `rate --method two-step --eps1 0.1 --grid 9` peaks 4,745 B higher per start
+# over 20,000 to 59,049 starts (--maxiter 2; 4,858 B over 10 to 20,000 at 60).
+POLISH_BYTES_PER_ROW = 4864
+MAX_POLISH_ROWS = GRID_MEMORY_BUDGET // POLISH_BYTES_PER_ROW
 # The polish's stop test: scipy's Nelder-Mead ``fatol`` and ``xatol``.
 OBJECTIVE_TOL = 1e-6
 VARIABLE_TOL = 1e-8
@@ -63,11 +69,11 @@ class SolverOptions:
     """Knobs for the grid-plus-simplex search; defaults favour reproducibility.
 
     The scan grid has ``grid_points`` to the power of the number of
-    non-degenerate axes cells, at most ``MAX_GRID_CELLS`` (76,695,844: the
-    cells that fit a 4 GiB scan at 56 B each, an upper bound on the
-    measured cost per cell, so up to 37 points on each of the five
-    two-step axes).  A larger grid is rejected with a
-    ValidationError before any array is built.
+    non-degenerate axes cells, at most ``MAX_GRID_CELLS`` (76,695,844 at 56
+    B each, above the measured 1.6 to 23 B: up to 37 points on each of the
+    five two-step axes).  A batch of problems polishes ``min(refine_starts,
+    cells)`` starts each, at most ``MAX_POLISH_ROWS`` (883,011 at 4,864 B)
+    in all.  Larger inputs raise ValidationError before any grid is built.
     """
 
     grid_points: int = 9
@@ -141,13 +147,13 @@ def _libm_log2(x: np.ndarray) -> np.ndarray:
     """``math.log2`` of each entry of a contiguous 1-D array.
 
     numpy's own log2 differs from the C library's in the last bit for
-    about 0.2 % of inputs, so the polish, which must repeat the plain-float
-    objective bit for bit, takes its logarithms from here.
+    about 0.2 % of inputs, so the vectorised objective, which must repeat
+    the plain-float objective bit for bit, takes its logarithms from here.
     """
     return np.fromiter(map(math.log2, memoryview(x)), float, len(x))
 
 
-def _minus_entropy(x: np.ndarray, log2=np.log2) -> np.ndarray:
+def _minus_entropy(x: np.ndarray) -> np.ndarray:
     """``x log2 x + (1 - x) log2 (1 - x)`` of each entry, 0 outside (0, 1).
 
     That is minus :func:`binary_entropy`, bit for bit: ``-x * log2(x) - (1 - x) *
@@ -156,12 +162,12 @@ def _minus_entropy(x: np.ndarray, log2=np.log2) -> np.ndarray:
     """
     both = np.concatenate((x, 1.0 - x), axis=None)
     if both.min() > 0.0:
-        terms = both * log2(both)
+        terms = both * _libm_log2(both)
         return (terms[: x.size] + terms[x.size:]).reshape(x.shape)
     inside = (x > 0.0) & (x < 1.0)
     out = np.zeros(x.shape)
     if inside.any():
-        out[inside] = _minus_entropy(x[inside], log2)
+        out[inside] = _minus_entropy(x[inside])
     return out
 
 
@@ -171,6 +177,10 @@ def _eliminate(numerator, weight, fallback):
     Where ``weight < _TINY`` the quotient is ``fallback`` and the row is
     charged ``abs(numerator)`` as penalty.  Returns ``(quotient, penalty)``,
     the penalty None when no weight is that small.
+
+    The None returns, ``weighted = None`` in :func:`_elimination` and the no-penalty
+    return of :func:`_reduced_objective_vec` skip unneeded masks: without them the
+    `pulses` and `transcript` derived solves ran 11-14 % slower (10 pairs, 2-core Xeon).
     """
     if not weight.min() < _TINY:
         return numerator / weight, None
@@ -264,7 +274,7 @@ def _elimination(points: np.ndarray, constants):
     return clamped, rates, side, weighted, errors, worst, penalty
 
 
-def _reduced_objective_vec(points: np.ndarray, constants, log2=np.log2) -> np.ndarray:
+def _reduced_objective_vec(points: np.ndarray, constants) -> np.ndarray:
     """Penalised rate at each row (p_lambda1, a0, e_b00, e_b01, e_b10).
 
     Feasible rows get the exact split-processing rate with worst-case
@@ -272,12 +282,12 @@ def _reduced_objective_vec(points: np.ndarray, constants, log2=np.log2) -> np.nd
     bounds get the rate at the clamped point plus a large finite penalty
     and the distance to feasibility.
 
-    ``constants`` is as for :func:`_elimination`.  With
-    ``log2=_libm_log2`` each value is :func:`_reduced_objective_scalar`'s
-    bit for bit; the grid scan keeps numpy's faster ``log2``.
+    ``constants`` is as for :func:`_elimination`.  Each value is
+    :func:`_reduced_objective_scalar`'s bit for bit, in the grid scan and
+    in the polish alike.
     """
     _, _, side, weighted, errors, worst, penalty = _elimination(points, constants)
-    s_bit, s_pha = _minus_entropy(np.stack((errors[0], worst)), log2)
+    s_bit, s_pha = _minus_entropy(np.stack((errors[0], worst)))
     terms = side * (1.0 + s_bit + s_pha)
     if weighted is not None:
         terms = np.where(weighted, terms, 0.0)
@@ -366,15 +376,9 @@ def _grid_axes(bounds: list[tuple[float, float]], grid_points: int) -> list[np.n
     ]
 
 
-def _grid_points_array(axes: list[np.ndarray], cells: np.ndarray | None = None) -> np.ndarray:
-    """Every combination of the axis values, one row each, last axis fastest.
-
-    With ``cells``, only the rows at those flat indices of that enumeration.
-    """
-    shape = [len(axis) for axis in axes]
-    if cells is None:
-        cells = np.arange(math.prod(shape))
-    index = np.unravel_index(cells, shape)
+def _grid_points_array(axes: list[np.ndarray], cells: np.ndarray) -> np.ndarray:
+    """The grid points at the flat indices ``cells``, one row each, last axis fastest."""
+    index = np.unravel_index(cells, [len(axis) for axis in axes])
     return np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
 
 
@@ -414,11 +418,13 @@ def _penalty_free_cells(axes: list[np.ndarray], constants) -> np.ndarray:
     return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
-def _scan_cells(axes, constants, cells: np.ndarray, values: np.ndarray) -> None:
-    """Writes the objective at each of the grid ``cells`` into ``values``."""
+def _scan_cells(axes, constants, cells: np.ndarray) -> np.ndarray:
+    """The objective at each of the grid ``cells``, in their order."""
+    values = np.empty(len(cells))
     for j in range(0, len(cells), GRID_CHUNK):
-        chunk = cells[j:j + GRID_CHUNK]
-        values[chunk] = _reduced_objective_vec(_grid_points_array(axes, chunk), constants)
+        points = _grid_points_array(axes, cells[j:j + GRID_CHUNK])
+        values[j:j + GRID_CHUNK] = _reduced_objective_vec(points, constants)
+    return values
 
 
 def _smallest(values: np.ndarray, count: int) -> np.ndarray:
@@ -454,7 +460,6 @@ class _Simplices:
 
     def __init__(self, rows, free, starts, labels, lower, upper):
         self.free = free
-        self.whole = len(free) == starts.shape[1]
         self.base = starts[rows]
         self.labels = labels[rows]
         self.lower = lower[rows][:, free]
@@ -476,9 +481,8 @@ class _Simplices:
         self.rows = rows
         self.trial_labels = np.tile(self.labels, len(_MOVE_A))
         self.index = np.arange(len(rows))
-        if not self.whole:
-            # The trial points as full points; each step refills the free axes.
-            self.trials_full = np.repeat(self.base[None], len(_MOVE_A), axis=0)
+        # The trial points as full points; each step refills the free axes.
+        self.trials_full = np.repeat(self.base[None], len(_MOVE_A), axis=0)
 
     def keep(self, mask):
         for name in ("base", "labels", "lower", "upper"):
@@ -489,8 +493,6 @@ class _Simplices:
 
     def points(self, x, base):
         """Full points: ``x`` on the free axes, ``base`` elsewhere."""
-        if self.whole:
-            return x
         full = np.empty(x.shape[:-1] + base.shape[-1:])
         full[...] = base
         full[..., self.free] = x
@@ -529,8 +531,6 @@ class _Simplices:
         # right, as scipy's np.add.reduce(sim[:-1], 0) does.
         centroid = np.add.reduce(sim[:-1], axis=0) / len(self.free)
         trials = (_MOVE_A * centroid + _MOVE_B * sim[-1]).clip(self.lower, self.upper)
-        if self.whole:
-            return trials, trials
         self.trials_full[..., self.free] = trials
         return trials, self.trials_full
 
@@ -576,8 +576,9 @@ class _Simplices:
 def _refine(objective, starts, labels, lower, upper, opts):
     """Nelder-Mead polish of many starts at once, degenerate axes held fixed.
 
-    Each row of ``starts`` (full points, with their own ``lower`` and
-    ``upper`` bounds) follows ``scipy.optimize.minimize(method=
+    Each row of ``starts`` (a full point with its own ``lower`` and
+    ``upper`` bounds and at least one free axis, as the two-step box's
+    p_lambda1 axis always is) follows ``scipy.optimize.minimize(method=
     "Nelder-Mead", bounds=...)`` of scipy 1.17 over its free axes, with
     ``opts.max_iterations``, ``OBJECTIVE_TOL`` and ``VARIABLE_TOL`` as
     ``maxiter``, ``fatol`` and ``xatol``.  Every IEEE step, clip and tie
@@ -590,8 +591,7 @@ def _refine(objective, starts, labels, lower, upper, opts):
     that the evaluations scipy would skip change nothing.  Shrunk vertices go in a second call, only
     when some row shrinks.  A row leaves the batch when it meets scipy's
     stop test or reaches ``opts.max_iterations``.  Returns ``(points,
-    values, iterations)``, one entry per row; a row with no free axis
-    keeps its start and gets 0 iterations.
+    values, iterations)``, one entry per row.
     """
     n_rows, dim = starts.shape
     points = starts.copy()
@@ -602,6 +602,8 @@ def _refine(objective, starts, labels, lower, upper, opts):
 
     def evaluate(parts):
         """One objective call for several ``(points, labels)`` pairs."""
+        # Without this path the derived solves of the `pulses` and
+        # `transcript` benchmark workloads ran 3 % and 14 % slower.
         if len(parts) == 1:
             x, tags = parts[0]
             return [objective(x.reshape(-1, dim), tags.ravel()).reshape(x.shape[:-1])]
@@ -621,20 +623,13 @@ def _refine(objective, starts, labels, lower, upper, opts):
     by_axes = {}
     for row, mask in enumerate(((upper - lower) > DEGENERATE_AXIS_TOL).tolist()):
         by_axes.setdefault(tuple(mask), []).append(row)
-    groups, fixed = [], []
-    for mask, rows in by_axes.items():
-        if any(mask):
-            groups.append(
-                _Simplices(np.array(rows), np.flatnonzero(mask), starts, labels, lower, upper)
-            )
-        else:
-            fixed += rows
-    fixed = np.array(fixed, dtype=int)
+    groups = [
+        _Simplices(np.array(rows), np.flatnonzero(mask), starts, labels, lower, upper)
+        for mask, rows in by_axes.items()
+    ]
 
-    # One call for every initial simplex and every start with no free axis.
-    *initial, values[fixed] = evaluate(
+    initial = evaluate(
         [(g.points(g.sim, g.base), np.broadcast_to(g.labels, g.sim.shape[:2])) for g in groups]
-        + [(starts[fixed], labels[fixed])]
     )
     for group, fsim in zip(groups, initial):
         group.fsim = fsim
@@ -684,52 +679,56 @@ def _box_search(constants, opts):
     ``constants`` lists each problem's ``search_constants``; its box is the
     unit cube with the basis band on the ``a0`` axis.  Each box keeps the
     best cell of its grid and polishes its ``opts.refine_starts`` best
-    cells.  Returns one ``(point, report)`` per problem, in order.
+    cells.  Returns one ``(point, report)`` per problem, in order.  The
+    caps of :class:`SolverOptions` are checked before any grid is built.
 
     The scan evaluates the objective only where it can matter.  A
     pre-pass, :func:`_penalty_free_cells`, finds the cells that carry no
     penalty (3.1 % of the cells of a 36-point sweep over QBERs up to 0.11
-    at the default grid), and the objective runs on those alone.  A penalised value exceeds ``PENALTY_BASE - 1``
-    and an unpenalised one is at most 1, so while at least
-    ``max(refine_starts, 1)`` of them score below ``PENALTY_BASE / 2``, no
-    other cell can be among the best.  Otherwise, as for a problem with no
-    feasible cell, a second pass evaluates every remaining cell.  Every
-    value is the elementwise objective, the same bits in any chunk, and
-    the best cells are taken from a full-length array that holds +inf
-    where nothing was evaluated, so they and their index tie order are
-    those of a scan of every cell.  ``grid_evaluations`` reports the
-    grid's cells, evaluated or not.
+    at the default grid), and the objective runs on those alone.  A
+    penalised value exceeds ``PENALTY_BASE - 1`` and an unpenalised one is
+    at most 1, so while at least ``max(refine_starts, 1)`` of them score
+    below ``PENALTY_BASE / 2``, no other cell can be among the best.
+    Otherwise, as for a problem with no feasible cell, a second pass
+    evaluates every cell.  Every value is the elementwise objective, the
+    same bits in any chunk, and the scanned cells are in ascending order,
+    so the best cells and their index tie order are those of a scan of
+    every cell.  ``grid_evaluations`` reports the grid's cells, evaluated
+    or not.
     """
     boxes = [
         [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
         for *_, band_lo, band_hi in constants
     ]
+    grids = [_grid_axes(bounds, opts.grid_points) for bounds in boxes]
+    sizes = [math.prod(len(axis) for axis in axes) for axes in grids]
+    rows = sum(min(opts.refine_starts, n_cells) for n_cells in sizes)
+    if rows > MAX_POLISH_ROWS:
+        raise ValidationError(
+            f"{opts.refine_starts} refinement starts per problem give {rows} polish rows, "
+            f"above the cap of {MAX_POLISH_ROWS}; use fewer starts"
+        )
     seeds, starts = [], []
-    for own, bounds in zip(constants, boxes):
-        axes = _grid_axes(bounds, opts.grid_points)
-        n_cells = math.prod(len(axis) for axis in axes)
+    for own, axes, n_cells in zip(constants, grids, sizes):
         n_starts = min(opts.refine_starts, n_cells)
-        values = np.full(n_cells, np.inf)
         cells = _penalty_free_cells(axes, own)
-        _scan_cells(axes, own, cells, values)
-        if np.count_nonzero(values[cells] < PENALTY_BASE / 2) < max(n_starts, 1):
-            rest = np.ones(n_cells, dtype=bool)
-            rest[cells] = False
-            _scan_cells(axes, own, np.flatnonzero(rest), values)
-            del rest
+        values = _scan_cells(axes, own, cells)
+        if np.count_nonzero(values < PENALTY_BASE / 2) < max(n_starts, 1):
+            cells = np.arange(n_cells)
+            values = _scan_cells(axes, own, cells)
         # Grid enumeration is lexicographic, so breaking ties by index makes
         # the choice of the best cells deterministic.
-        order = _smallest(values, max(n_starts, 1))
-        points = _grid_points_array(axes, order)
+        best = _smallest(values, max(n_starts, 1))
+        points = _grid_points_array(axes, cells[best])
         starts.append(points[:n_starts])
-        seeds.append((points[0], float(values[order[0]]), n_cells, n_starts))
+        seeds.append((points[0], float(values[best[0]]), n_cells, n_starts))
         del values, cells  # one grid at a time
 
     owners = np.repeat(np.arange(len(boxes)), [seed[3] for seed in seeds])
     table = np.array(constants).T
     box = np.array(boxes)
     polished, polished_values, polish_iterations = _refine(
-        lambda points, labels: _reduced_objective_vec(points, table[:, labels], _libm_log2),
+        lambda points, labels: _reduced_objective_vec(points, table[:, labels]),
         np.concatenate(starts),
         owners,
         box[owners, :, 0],

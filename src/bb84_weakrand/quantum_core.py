@@ -28,6 +28,16 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
+def check_prob(name: str, value: float, upper: float = 1.0) -> float:
+    """``value`` clamped into [0, upper], which absorbs rounding within PROB_ATOL.
+
+    A value further outside raises ValidationError naming ``name``.
+    """
+    if not -PROB_ATOL <= value <= upper + PROB_ATOL:
+        raise ValidationError(f"{name}={value!r} outside [0, {upper:g}]")
+    return min(max(value, 0.0), upper)
+
+
 def _bell_vector(i: int, j: int, sign: float) -> np.ndarray:
     v = np.zeros(4)
     v[i] = 1.0
@@ -114,8 +124,7 @@ class PauliChannel:
 
     def __post_init__(self):
         for name, q in zip(("q00", "q01", "q10", "q11"), self.probabilities()):
-            if not -PROB_ATOL <= q <= 1.0 + PROB_ATOL:
-                raise ValidationError(f"channel probability {name}={q!r} outside [0, 1]")
+            check_prob(f"channel probability {name}", q)
         total = self.q00 + self.q01 + self.q10 + self.q11
         if abs(total - 1.0) > PROB_ATOL:
             raise ValidationError(f"channel probabilities sum to {total!r}, expected 1")
@@ -136,11 +145,8 @@ class ErrorRatePair:
     e_phase: float
 
     def __post_init__(self):
-        for name, e in (("e_bit", self.e_bit), ("e_phase", self.e_phase)):
-            if not -PROB_ATOL <= e <= 1.0 + PROB_ATOL:
-                raise ValidationError(f"{name}={e!r} outside [0, 1]")
-        object.__setattr__(self, "e_bit", min(max(self.e_bit, 0.0), 1.0))
-        object.__setattr__(self, "e_phase", min(max(self.e_phase, 0.0), 1.0))
+        for name in ("e_bit", "e_phase"):
+            object.__setattr__(self, name, check_prob(name, getattr(self, name)))
 
 
 # Channel operators indexed like the channel probabilities: I, Z, X, XZ.
@@ -157,9 +163,7 @@ def binary_entropy(e: float) -> float:
     Inputs within 1e-12 of the [0, 1] bounds are clamped to the exact
     bound; anything further out raises ValidationError.
     """
-    if not -PROB_ATOL <= e <= 1.0 + PROB_ATOL:
-        raise ValidationError(f"binary_entropy argument {e!r} outside [0, 1]")
-    e = min(max(e, 0.0), 1.0)
+    e = check_prob("binary_entropy argument", e)
     if e == 0.0 or e == 1.0:
         return 0.0
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
@@ -171,9 +175,7 @@ def build_source_state(p0: float) -> TwoQubitState:
     p0 is the conditional probability of encoding classical bit 0; the
     returned state is the rank-one purification of that biased coin.
     """
-    if not -PROB_ATOL <= p0 <= 1.0 + PROB_ATOL:
-        raise ValidationError(f"source bias p0={p0!r} outside [0, 1]")
-    p0 = min(max(p0, 0.0), 1.0)
+    p0 = check_prob("source bias p0", p0)
     ket = np.zeros(4)
     ket[0] = math.sqrt(p0)
     ket[3] = math.sqrt(1.0 - p0)
@@ -190,9 +192,7 @@ def apply_channel(
     diagonal-encoded and the operator acts conjugated by Hadamards.  The
     output is the mixture over the four channel operators.
     """
-    if not -PROB_ATOL <= p_z_basis <= 1.0 + PROB_ATOL:
-        raise ValidationError(f"p_z_basis={p_z_basis!r} outside [0, 1]")
-    p_z = min(max(p_z_basis, 0.0), 1.0)
+    p_z = check_prob("p_z_basis", p_z_basis)
     rho = source.matrix
     out = np.zeros((4, 4), dtype=complex)
     for q, op_z, op_x in zip(channel.probabilities(), _RECTILINEAR_OPS, _DIAGONAL_OPS):

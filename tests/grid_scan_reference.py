@@ -14,7 +14,6 @@ import numpy as np
 from bb84_weakrand.optimizer import (
     GRID_CHUNK,
     _grid_axes,
-    _libm_log2,
     _reduced_objective_vec,
     _refine,
     _smallest,
@@ -64,7 +63,7 @@ def box_search(constants, opts):
     table = np.array(constants).T
     box = np.array(boxes)
     polished, polished_values, polish_iterations = _refine(
-        lambda points, labels: _reduced_objective_vec(points, table[:, labels], _libm_log2),
+        lambda points, labels: _reduced_objective_vec(points, table[:, labels]),
         np.concatenate(starts),
         owners,
         box[owners, :, 0],

@@ -117,6 +117,24 @@ class TestRateCommand:
             assert captured.out == ""
             assert "102400000 cells, above the cap of 76695844" in captured.err
 
+    def test_too_many_polish_starts_exit_validation(self, capsys, monkeypatch):
+        from bb84_weakrand import optimizer
+
+        def unreachable(*_args):
+            raise AssertionError("grid scanned despite the cap")
+
+        for scan in ("_penalty_free_cells", "_scan_cells"):
+            monkeypatch.setattr(optimizer, scan, unreachable)
+        rate = ["rate", "--method", "two-step", "--qber", "0.05", "--eps1", "0.1",
+                "--grid", "20", "--starts", "3200000"]
+        sweep = ["sweep", "--qber", "0:0.02:0.01", "--dev", "0,0.1", "--method", "two-step",
+                 "--grid", "15", "--starts", "1000000"]
+        for argv, rows in ((rate, 3200000), (sweep, 2 * 15**5)):
+            assert main([*argv, "--seed", "1"]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"give {rows} polish rows, above the cap of 883011" in captured.err
+
     def test_two_step_clamps_a_deviation_within_tolerance(self):
         """An eps1 a hair below 0 solves as eps1 = 0 (it used to be an empty box)."""
         base = ["rate", "--method", "two-step", "--qber", "0.05", "--seed", "1"]

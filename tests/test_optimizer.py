@@ -11,6 +11,7 @@ from nelder_mead_reference import clip, nelder_mead
 from rebuild_reference import reconstruct_scenario
 
 from bb84_weakrand import optimizer
+from bb84_weakrand.cli import SOLVE_BLOCK
 from bb84_weakrand.errors import InfeasibilityError, ValidationError
 from bb84_weakrand.keyrate import (
     DeviationParams,
@@ -24,8 +25,10 @@ from bb84_weakrand.optimizer import (
     GRID_BYTES_PER_CELL,
     GRID_MEMORY_BUDGET,
     MAX_GRID_CELLS,
+    MAX_POLISH_ROWS,
     OBJECTIVE_TOL,
     PENALTY_BASE,
+    POLISH_BYTES_PER_ROW,
     VARIABLE_TOL,
     SolverOptions,
     TwoStepProblem,
@@ -33,7 +36,6 @@ from bb84_weakrand.optimizer import (
     _elimination,
     _grid_axes,
     _grid_points_array,
-    _libm_log2,
     _penalty_free_cells,
     _reduced_objective_scalar,
     _reduced_objective_vec,
@@ -78,13 +80,21 @@ class TestObjectiveConsistency:
         problem = TwoStepProblem(q_target=0.07, dev=DeviationParams(0.08, 0.2))
         points = rng.uniform([0, 0.3, 0, 0, 0], [1, 0.7, 1, 1, 1], size=(2000, 5))
         scalar = [_reduced_objective_scalar(problem, *row) for row in points.tolist()]
-        # With the C library's log2 every value is the scalar's, bit for bit;
-        # the grid scan's numpy log2 may differ in the last bit.
-        exact = _reduced_objective_vec(points, problem.search_constants, _libm_log2)
-        assert hexes(exact) == hexes(scalar)
-        grid = _reduced_objective_vec(points, problem.search_constants)
-        for value, expected in zip(grid, scalar):
-            assert value == pytest.approx(expected, abs=1e-12)
+        assert hexes(_reduced_objective_vec(points, problem.search_constants)) == hexes(scalar)
+        # The cells the grid scan evaluates: the penalty-free ones, or every
+        # cell of a grid with none (the last basis balance is off its band).
+        for q, eps0, eps1, basis, grid in [
+            (0.02, 0.0, 0.1, 0.5, 9), (0.07, 0.08, 0.2, 0.45, 9), (0.02, 0.0, 0.1, 0.99, 6),
+        ]:
+            problem = TwoStepProblem(q, DeviationParams(eps0, eps1), basis)
+            own = problem.search_constants
+            axes = _grid_axes([(0.0, 1.0), own[3:], (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)], grid)
+            cells = _penalty_free_cells(axes, own)
+            if not len(cells):
+                cells = np.arange(grid**5)
+            points = _grid_points_array(axes, cells)
+            scalar = [_reduced_objective_scalar(problem, *row) for row in points.tolist()]
+            assert hexes(optimizer._scan_cells(axes, own, cells)) == hexes(scalar)
 
     def test_per_row_constants_match_scalar(self, rng):
         problems = [
@@ -102,7 +112,7 @@ class TestObjectiveConsistency:
         points[rng.random(points.shape) < 0.1] = 1.0
         band_lo, band_hi = table[3, owners], table[4, owners]
         points[:, 1] = band_lo + points[:, 1] * (band_hi - band_lo)
-        values = _reduced_objective_vec(points, table[:, owners], _libm_log2)
+        values = _reduced_objective_vec(points, table[:, owners])
         expected = [
             _reduced_objective_scalar(problems[owner], *row)
             for owner, row in zip(owners.tolist(), points.tolist())
@@ -125,7 +135,7 @@ class TestObjectiveConsistency:
         a1 = (1e-16 - p * a0) / (1.0 - p)
         p_rec = p * a0 + (1.0 - p) * a1
         assert np.all((p_rec > 0.0) & (p_rec < 1e-15))
-        values = _reduced_objective_vec(points, problem.search_constants, _libm_log2)
+        values = _reduced_objective_vec(points, problem.search_constants)
         expected = [_reduced_objective_scalar(problem, *row) for row in points.tolist()]
         assert max(expected) < PENALTY_BASE
         assert hexes(values) == hexes(expected)
@@ -329,6 +339,34 @@ class TestGridCap:
             _grid_axes(self.BOX[:1], 10**9)
 
 
+class TestPolishCap:
+    # A 5-axis box of 2**5 cells and a 4-axis one (eps1 = 0) of 2**4.
+    PROBLEMS = [
+        TwoStepProblem(q_target=0.02, dev=DeviationParams(0.0, 0.1)),
+        TwoStepProblem(q_target=0.02, dev=DeviationParams(0.0, 0.0)),
+    ]
+
+    def test_cap_is_the_budget_at_the_measured_slope(self):
+        assert MAX_POLISH_ROWS == GRID_MEMORY_BUDGET // POLISH_BYTES_PER_ROW == 883_011
+        # The default starts of a whole sweep block.
+        assert SOLVE_BLOCK * SolverOptions().refine_starts <= MAX_POLISH_ROWS
+
+    def test_cap_counts_each_problem_up_to_its_cells_and_is_inclusive(self, monkeypatch):
+        opts = SolverOptions(grid_points=2, refine_starts=20, max_iterations=1)
+        # min(20, 32) + min(20, 16) = 36 rows.
+        monkeypatch.setattr(optimizer, "MAX_POLISH_ROWS", 36)
+        assert len(solve_two_step_many(self.PROBLEMS, opts)) == 2
+        monkeypatch.setattr(optimizer, "MAX_POLISH_ROWS", 35)
+
+        def unreachable(*_args):
+            raise AssertionError("grid scanned despite the cap")
+
+        for scan in ("_penalty_free_cells", "_scan_cells"):
+            monkeypatch.setattr(optimizer, scan, unreachable)
+        with pytest.raises(ValidationError, match="give 36 polish rows, above the cap of 35"):
+            solve_two_step_many(self.PROBLEMS, opts)
+
+
 # (q, eps0, eps1, basis balance): a degenerate basis axis (eps1 = 0) and the
 # widest one (eps1 = 1/2), q at both ends, balances off 1/2, and three
 # balances outside their basis bands, which no cell meets.
@@ -414,8 +452,8 @@ class TestSimplexHelpers:
 
 def _refinement_starts(batched, bounds, opts):
     """The grid cells :func:`_box_search` polishes, best first."""
-    points = _grid_points_array(_grid_axes(bounds, opts.grid_points))
-    order = np.argsort(batched(points, np.log2), kind="stable")
+    points = grid_points_array(_grid_axes(bounds, opts.grid_points))
+    order = np.argsort(batched(points), kind="stable")
     return points[order[: opts.refine_starts]]
 
 
@@ -427,14 +465,14 @@ def _two_step_case(q, eps0, eps1):
     def objective(v):
         return _reduced_objective_scalar(problem, *v)
 
-    def batched(points, log2=_libm_log2):
-        return _reduced_objective_vec(points, problem.search_constants, log2)
+    def batched(points):
+        return _reduced_objective_vec(points, problem.search_constants)
 
     return objective, bounds, batched
 
 
 def _rosenbrock_case():
-    def batched(points, log2=None):
+    def batched(points):
         return np.array([rosenbrock(row) for row in points.tolist()])
 
     return rosenbrock, [(-2.0, 2.0), (-2.0, 2.0)], batched
@@ -539,7 +577,7 @@ class TestBatchedPolish:
         )
 
         points, values, iterations = _refine(
-            lambda x, labels: _reduced_objective_vec(x, table[:, labels], _libm_log2),
+            lambda x, labels: _reduced_objective_vec(x, table[:, labels]),
             starts,
             owners,
             boxes[:, :, 0],
@@ -574,26 +612,21 @@ class TestBatchedPolish:
         assert 0 < (iterations < opts.max_iterations).sum() < len(starts)
         assert shrunk
 
-    def test_rows_without_free_axes_keep_their_start(self):
-        # Row 0 has no free axis; row 1 holds its degenerate first axis.
-        starts = np.array([[0.5, 0.25], [0.7, 0.9]])
-        lower = np.array([[0.5, 0.25], [0.7, -1.0]])
-        upper = np.array([[0.5, 0.25], [0.7, 1.0]])
+    def test_degenerate_axes_keep_their_start(self):
+        # The row holds its degenerate first axis and polishes the second.
+        starts = np.array([[0.7, 0.9]])
+        lower = np.array([[0.7, -1.0]])
+        upper = np.array([[0.7, 1.0]])
 
         def objective(points, labels):
-            fixed = points[:, 0] + points[:, 1]
-            bowl = (points[:, 0] - 0.3) ** 2 + points[:, 1] ** 2
-            return np.where(labels == 0, fixed, bowl)
+            return (points[:, 0] - 0.3) ** 2 + points[:, 1] ** 2
 
-        points, values, iterations = _refine(
-            objective, starts, np.arange(2), lower, upper, SolverOptions()
+        points, _, iterations = _refine(
+            objective, starts, np.arange(1), lower, upper, SolverOptions()
         )
-        assert points[0].tolist() == [0.5, 0.25]
-        assert values[0] == 0.75
-        assert iterations[0] == 0
-        assert points[1, 0] == 0.7
-        assert points[1, 1] == pytest.approx(0.0, abs=1e-6)
-        assert iterations[1] > 0
+        assert points[0, 0] == 0.7
+        assert points[0, 1] == pytest.approx(0.0, abs=1e-6)
+        assert iterations[0] > 0
 
     def test_smallest_is_the_stable_argsort_prefix(self, rng):
         for _ in range(200):
@@ -607,7 +640,7 @@ class TestBatchedPolish:
         axes = [np.array([0.0, 0.5, 1.0]), np.array([-0.0, 2.0]), np.array([0.25])]
         mesh = np.meshgrid(*axes, indexing="ij")
         expected = np.stack([m.ravel() for m in mesh], axis=1)
-        assert hexes(_grid_points_array(axes)) == hexes(expected)
+        assert hexes(_grid_points_array(axes, np.arange(6))) == hexes(expected)
         assert hexes(_grid_points_array(axes, np.array([5, 0, 3]))) == hexes(expected[[5, 0, 3]])
 
 
