@@ -9,7 +9,7 @@ Prints the table and, when matplotlib is available, saves a plot.
 import numpy as np
 
 from bb84_weakrand import DeviationParams, one_step_rate
-from bb84_weakrand.optimizer import SolverOptions, TwoStepProblem, solve_two_step
+from bb84_weakrand.optimizer import SolverOptions, TwoStepProblem, solve_two_step_many
 
 try:
     import matplotlib
@@ -32,15 +32,11 @@ CONFIGS = [
 
 
 def compute_curve(method: str, dev: DeviationParams) -> list[float]:
-    rates = []
-    opts = SolverOptions(seed=0)
-    for q in QBERS:
-        if method == "one-step":
-            rates.append(one_step_rate(float(q), dev).rate)
-        else:
-            problem = TwoStepProblem(q_target=float(q), dev=dev)
-            rates.append(solve_two_step(problem, opts).min_rate.rate)
-    return rates
+    if method == "one-step":
+        return [one_step_rate(float(q), dev).rate for q in QBERS]
+    # One batch: every point's refinement starts polish together.
+    problems = [TwoStepProblem(q_target=float(q), dev=dev) for q in QBERS]
+    return [result.min_rate.rate for result in solve_two_step_many(problems, SolverOptions(seed=0))]
 
 
 def main():

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import MEMORY_BUDGET, ValidationError
 from .keyrate import DeviationParams, one_step_delta, phase_gap_bound
 from .quantum_core import (
     PauliChannel,
@@ -37,10 +37,9 @@ VIOLATION_TOL = 1e-9
 # A scan holds about SIMPLEX_BYTES_PER_ROW bytes per simplex row at its
 # peak (the row tuples, the float grid, its scaled copy and the gap
 # vectors; the slope of peak RSS over grids of 100 to 250).
-# MAX_SIMPLEX_ROWS keeps a scan within SIMPLEX_MEMORY_BUDGET.
+# MAX_SIMPLEX_ROWS keeps a scan within MEMORY_BUDGET.
 SIMPLEX_BYTES_PER_ROW = 120
-SIMPLEX_MEMORY_BUDGET = 4 * 2**30
-MAX_SIMPLEX_ROWS = SIMPLEX_MEMORY_BUDGET // SIMPLEX_BYTES_PER_ROW
+MAX_SIMPLEX_ROWS = MEMORY_BUDGET // SIMPLEX_BYTES_PER_ROW
 
 _PURE_CHANNELS = (
     PauliChannel(1.0, 0.0, 0.0, 0.0),

@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import InfeasibilityError, InsufficientDataError, ValidationError
+from .errors import MEMORY_BUDGET, InfeasibilityError, InsufficientDataError, ValidationError
 from .keyrate import (
     DeviationParams,
     StrongRandomnessInputs,
@@ -33,8 +33,7 @@ EXIT_IO = 4
 # Peak bytes per sweep row with JSON output (CSV needs half): the slope of
 # peak RSS over 2e4 to 1.6e5 one-step rows.  The cap keeps a sweep in budget.
 SWEEP_BYTES_PER_ROW = 1400
-SWEEP_MEMORY_BUDGET = 4 * 2**30
-MAX_SWEEP_ROWS = SWEEP_MEMORY_BUDGET // SWEEP_BYTES_PER_ROW
+MAX_SWEEP_ROWS = MEMORY_BUDGET // SWEEP_BYTES_PER_ROW
 # Two-step sweep points polished together in one lockstep batch.  On a
 # 144-point sweep, blocks of 36, 72 and 144 were equally fast and 12 was
 # slower; a block's arrays are small next to one grid scan, so memory stays

@@ -3,8 +3,8 @@
 The worst case over eavesdropper strategies reduces to a five-variable
 box search: the basis-side hidden-variable weight, one conditional
 basis probability, and three of the four bit error rates.  The second
-conditional basis probability is eliminated by the observed basis
-balance, the fourth bit error rate by the observed QBER, and the phase
+conditional basis probability is eliminated by the basis balance of 1/2,
+the fourth bit error rate by the observed QBER, and the phase
 errors by their closed-form adversarial worst case.  A coarse
 deterministic grid seeds a handful of Nelder-Mead refinements;
 reproducibility is favoured over solver sophistication.
@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibilityError, ValidationError
+from .errors import MEMORY_BUDGET, InfeasibilityError, ValidationError
 from .keyrate import (
     DeviationParams,
     HiddenVariableModel,
@@ -40,21 +40,21 @@ from .quantum_core import binary_entropy
 PENALTY_BASE = 1e3
 PENALTY_CAP = 1e6
 DEGENERATE_AXIS_TOL = 1e-15
-# MAX_GRID_CELLS keeps the grid scan within GRID_MEMORY_BUDGET at
+# MAX_GRID_CELLS keeps the grid scan within MEMORY_BUDGET at
 # GRID_BYTES_PER_CELL, an upper bound on the slope of the peak RSS of a
-# two-step solve over --grid 10 to 20: 1.6 B per cell when enough cells are
-# penalty-free (`rate --method two-step --qber 0.05 --eps1 0.1`), 23 B when
-# every cell is scanned (basis balance 0.99: each cell's index and value and
-# the partial sort's copy and masks).  56 B, a scan that built every cell's
-# point, keeps the cap in place.
+# two-step solve over --grid 10 to 20: 1.6 B per cell when the scan keeps
+# only the penalty-free cells (`rate --method two-step --qber 0.05 --eps1
+# 0.1`), 23 B when it scans every cell (each cell's index and value and the
+# partial sort's copy and masks), which it does only when --starts exceeds
+# the penalty-free cells.  56 B, a scan that built every cell's point, keeps
+# the cap in place.
 GRID_BYTES_PER_CELL = 56
-GRID_MEMORY_BUDGET = 4 * 2**30
-MAX_GRID_CELLS = GRID_MEMORY_BUDGET // GRID_BYTES_PER_CELL
+MAX_GRID_CELLS = MEMORY_BUDGET // GRID_BYTES_PER_CELL
 # MAX_POLISH_ROWS keeps one batch's polished starts within the same budget:
 # `rate --method two-step --eps1 0.1 --grid 9` peaks 4,745 B higher per start
 # over 20,000 to 59,049 starts (--maxiter 2; 4,858 B over 10 to 20,000 at 60).
 POLISH_BYTES_PER_ROW = 4864
-MAX_POLISH_ROWS = GRID_MEMORY_BUDGET // POLISH_BYTES_PER_ROW
+MAX_POLISH_ROWS = MEMORY_BUDGET // POLISH_BYTES_PER_ROW
 # The polish's stop test: scipy's Nelder-Mead ``fatol`` and ``xatol``.
 OBJECTIVE_TOL = 1e-6
 VARIABLE_TOL = 1e-8
@@ -70,7 +70,7 @@ class SolverOptions:
 
     The scan grid has ``grid_points`` to the power of the number of
     non-degenerate axes cells, at most ``MAX_GRID_CELLS`` (76,695,844 at 56
-    B each, above the measured 1.6 to 23 B: up to 37 points on each of the
+    B each, above the measured slopes: up to 37 points on each of the
     five two-step axes).  A batch of problems polishes ``min(refine_starts,
     cells)`` starts each, at most ``MAX_POLISH_ROWS`` (883,011 at 4,864 B)
     in all.  Larger inputs raise ValidationError before any grid is built.
@@ -94,33 +94,27 @@ class SolverOptions:
 class TwoStepProblem:
     """Observed quantities pinning the worst-case search.
 
-    q_target is the total sifted QBER; observed_basis_prob the measured
-    rectilinear-basis probability (1/2 in the symmetric protocol).
+    q_target is the total sifted QBER.  The basis balance is 1/2: the
+    threat model lets the hidden variables bias Alice's choices only while
+    every observable marginal stays balanced.
     """
 
     q_target: float
     dev: DeviationParams
-    observed_basis_prob: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.q_target <= 0.5:
             raise ValidationError(f"q_target={self.q_target!r} outside [0, 0.5]")
-        if not 0.0 < self.observed_basis_prob < 1.0:
-            raise ValidationError(
-                f"observed_basis_prob={self.observed_basis_prob!r} outside (0, 1)"
-            )
 
     @cached_property
-    def search_constants(self) -> tuple[float, float, float, float, float]:
+    def search_constants(self) -> tuple[float, float, float, float]:
         """The objective's per-problem constants, computed once.
 
-        ``(q_target, observed_basis_prob, phase gap bound, basis band low,
-        basis band high)``.
+        ``(q_target, phase gap bound, basis band low, basis band high)``.
         """
         eps1 = self.dev.eps1
         return (
             self.q_target,
-            self.observed_basis_prob,
             phase_gap_bound(self.dev.eps0),
             0.5 - eps1,
             0.5 + eps1,
@@ -192,11 +186,11 @@ def _eliminate(numerator, weight, fallback):
 def _elimination(points: np.ndarray, constants):
     """The scenario that each row (p_lambda1, a0, e_b00, e_b01, e_b10) stands for.
 
-    Eliminates the second basis probability ``a1`` via the observed basis
-    balance and the last bit error rate ``e11`` via the observed QBER,
+    Eliminates the second basis probability ``a1`` via the basis balance of
+    1/2 and the last bit error rate ``e11`` via the observed QBER,
     clamps both to their bounds, and bounds each side's phase error by the
     band that its cross-basis bit error rates allow.  ``constants`` is a
-    problem's ``search_constants``, or five arrays that give each row its
+    problem's ``search_constants``, or four arrays that give each row its
     own problem's.  Returns ``(a1, rates, side, weighted, errors, worst,
     penalty)``, where side 0 is the rectilinear basis and side 1 the
     diagonal one:
@@ -221,11 +215,11 @@ def _elimination(points: np.ndarray, constants):
     give the same bits).
     """
     p, a0, _, e01, e10 = points.T
-    q, rec_target, gap, band_lo, band_hi = constants
+    q, gap, band_lo, band_hi = constants
     size = len(p)
 
     one_minus_p = 1.0 - p
-    a1, collapsed = _eliminate(rec_target - p * a0, one_minus_p, 0.5)
+    a1, collapsed = _eliminate(0.5 - p * a0, one_minus_p, 0.5)
     # np.clip keeps the bound on a tie where the scalar keeps a1, the same
     # bits: a1 is never -0.0 (a vanishing numerator is +0.0), nor is the band.
     clamped = a1.clip(band_lo, band_hi)
@@ -248,14 +242,12 @@ def _elimination(points: np.ndarray, constants):
     rates[1, 0, 1] = np.where(0.0 > e11, 0.0, np.where(1.0 < e11, 1.0, e11))
     # A zero penalty's sign never matters.
     range_gap = np.abs(e11 - rates[1, 0, 1])
-    if collapsed is None and weightless is None:
-        penalty = band_gap + range_gap
-    else:
-        penalty = 0.0 if collapsed is None else collapsed
-        penalty = penalty + band_gap
-        if weightless is not None:
-            penalty = penalty + weightless
-        penalty = penalty + range_gap
+    # The scalar's sum starts from 0.0; band_gap is never -0.0, so leaving
+    # that 0.0 out keeps the bits.
+    penalty = band_gap if collapsed is None else collapsed + band_gap
+    if weightless is not None:
+        penalty = penalty + weightless
+    penalty = penalty + range_gap
     cross = rates[:, 0, ::-1]
     np.subtract(cross, gap, out=rates[:, 1])
     np.copyto(rates[:, 1], 0.0, where=0.0 > rates[:, 1])
@@ -309,15 +301,15 @@ def _reduced_objective_scalar(
     The error rates are convex combinations of values in [0, 1], so they
     go to :func:`binary_entropy` unclamped; it clamps the rounding.
     """
-    q, rec_target, gap, band_lo, band_hi = problem.search_constants
+    q, gap, band_lo, band_hi = problem.search_constants
 
     penalty = 0.0
     one_minus_p = 1.0 - p
     if one_minus_p < _TINY:
         a1 = 0.5
-        penalty += abs(p * a0 - rec_target)
+        penalty += abs(p * a0 - 0.5)
     else:
-        a1 = (rec_target - p * a0) / one_minus_p
+        a1 = (0.5 - p * a0) / one_minus_p
     below, above = band_lo - a1, a1 - band_hi
     penalty += (0.0 if 0.0 > below else below) + (0.0 if 0.0 > above else above)
     a1 = band_lo if band_lo > a1 else a1
@@ -392,11 +384,11 @@ def _penalty_free_cells(axes: list[np.ndarray], constants) -> np.ndarray:
     on (p_lambda1, a0) only; the ``e11`` residual is built by broadcasting,
     one slab of fixed p_lambda1 at a time, so no temporary spans the grid.
     """
-    q, rec_target, _, band_lo, band_hi = constants
+    q, _, band_lo, band_hi = constants
     p_axis, a0, e00, e01, e10 = axes
     p = p_axis[:, None]
     one_minus_p = 1.0 - p
-    a1, collapsed = _eliminate(rec_target - p * a0, one_minus_p, 0.5)
+    a1, collapsed = _eliminate(0.5 - p * a0, one_minus_p, 0.5)
     clamped = a1.clip(band_lo, band_hi)
     in_band = a1 == clamped
     if collapsed is not None:
@@ -685,16 +677,17 @@ def _box_search(constants, opts):
     The scan evaluates the objective only where it can matter.  A
     pre-pass, :func:`_penalty_free_cells`, finds the cells that carry no
     penalty (3.1 % of the cells of a 36-point sweep over QBERs up to 0.11
-    at the default grid), and the objective runs on those alone.  A
+    at the default grid), at least g**3 of g**5 (g**2 at eps1 = 0): those
+    at p_lambda1 = 0 and e_b10 = 0, where a1 = 1/2 and e_b11 = 2 q.  A
     penalised value exceeds ``PENALTY_BASE - 1`` and an unpenalised one is
-    at most 1, so while at least ``max(refine_starts, 1)`` of them score
-    below ``PENALTY_BASE / 2``, no other cell can be among the best.
-    Otherwise, as for a problem with no feasible cell, a second pass
-    evaluates every cell.  Every value is the elementwise objective, the
-    same bits in any chunk, and the scanned cells are in ascending order,
-    so the best cells and their index tie order are those of a scan of
-    every cell.  ``grid_evaluations`` reports the grid's cells, evaluated
-    or not.
+    at most 1, so when ``max(refine_starts, 1)`` cells are penalty-free no
+    other cell can be among the best, and the one scan evaluates those
+    alone; otherwise it evaluates every cell.  Every value is the
+    elementwise objective, the same bits in any chunk, and the scanned
+    cells are in ascending order, so the best cells and their index tie
+    order are those of a scan of every cell; the best cell, and so the
+    argmin, carries no penalty.  ``grid_evaluations`` reports the grid's
+    cells, evaluated or not.
     """
     boxes = [
         [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
@@ -712,10 +705,9 @@ def _box_search(constants, opts):
     for own, axes, n_cells in zip(constants, grids, sizes):
         n_starts = min(opts.refine_starts, n_cells)
         cells = _penalty_free_cells(axes, own)
-        values = _scan_cells(axes, own, cells)
-        if np.count_nonzero(values < PENALTY_BASE / 2) < max(n_starts, 1):
+        if len(cells) < max(n_starts, 1):
             cells = np.arange(n_cells)
-            values = _scan_cells(axes, own, cells)
+        values = _scan_cells(axes, own, cells)
         # Grid enumeration is lexicographic, so breaking ties by index makes
         # the choice of the best cells deterministic.
         best = _smallest(values, max(n_starts, 1))
@@ -798,8 +790,8 @@ def constraint_residuals(problem: TwoStepProblem, scenario: TwoStepScenario) -> 
     """Violation amounts (zero when satisfied) of every search constraint."""
     gap = phase_gap_bound(problem.dev.eps0)
     res = {}
-    res["basis_balance_rec"] = abs(scenario.p_rec - problem.observed_basis_prob)
-    res["basis_balance_dia"] = abs(scenario.p_dia - (1.0 - problem.observed_basis_prob))
+    res["basis_balance_rec"] = abs(scenario.p_rec - 0.5)
+    res["basis_balance_dia"] = abs(scenario.p_dia - 0.5)
     e_recbit = (
         scenario.p_rec1 * scenario.e_b00 + scenario.p_rec2 * scenario.e_b10
     ) / scenario.p_rec if scenario.p_rec > 0 else 0.0
@@ -838,9 +830,13 @@ def solve_two_step_many(
     solving it alone.  Each minimizer's eliminated variables are
     reconstructed and it is re-evaluated through the exact scenario
     calculator, so the reported rate and the reported scenario cannot
-    drift apart.  The first problem whose minimizer violates a constraint
-    by more than 1e-9 (its ``feasibility_residual``) raises
-    InfeasibilityError carrying that residual.
+    drift apart.
+
+    Every valid problem has penalty-free grid cells, so the search always
+    ends on a feasible point.  The check that each minimizer meets every
+    constraint to within 1e-9 (its ``feasibility_residual``) guards against
+    a fault in the search, not against an input: the first problem whose
+    minimizer fails it raises InfeasibilityError carrying that residual.
     """
     opts = opts or SolverOptions()
     problems = list(problems)

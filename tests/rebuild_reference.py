@@ -18,12 +18,12 @@ TINY = 1e-15
 def reconstruct_scenario(problem, v) -> TwoStepScenario:
     """The full scenario (eliminated variables included) at one point."""
     p, a0, e00, e01, e10 = (float(x) for x in v)
-    q, rec_target, gap, band_lo, band_hi = problem.search_constants
+    q, gap, band_lo, band_hi = problem.search_constants
 
     if 1.0 - p < TINY:
         a1 = 0.5
     else:
-        a1 = (rec_target - p * a0) / (1.0 - p)
+        a1 = (0.5 - p * a0) / (1.0 - p)
     a1 = min(max(a1, band_lo), band_hi)
 
     p_rec1, p_rec2 = p * a0, (1.0 - p) * a1

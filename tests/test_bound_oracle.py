@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from bb84_weakrand import bound_oracle
-from bb84_weakrand.errors import ValidationError
+from bb84_weakrand.errors import MEMORY_BUDGET, ValidationError
 from bb84_weakrand.bound_oracle import (
     MAX_SIMPLEX_ROWS,
+    SIMPLEX_BYTES_PER_ROW,
     _PURE_CHANNELS,
     _cross_basis_pure,
     _pure_rates,
@@ -81,6 +82,7 @@ class TestGrids:
         assert deviation_band(0.0, 5).tolist() == [0.5] * 5
 
     def test_simplex_cap_rejects_before_building(self, monkeypatch):
+        assert MAX_SIMPLEX_ROWS == MEMORY_BUDGET // SIMPLEX_BYTES_PER_ROW == 35_791_394
         assert math.comb(596 + 3, 3) <= MAX_SIMPLEX_ROWS < math.comb(597 + 3, 3)
         with pytest.raises(ValidationError, match="above the cap"):
             simplex_grid(597)

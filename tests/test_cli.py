@@ -15,6 +15,7 @@ from bb84_weakrand.cli import (
     EXIT_VALIDATION,
     main,
 )
+from bb84_weakrand.errors import MEMORY_BUDGET
 from bb84_weakrand.output import canonical_json, checksum_of
 
 
@@ -135,6 +136,28 @@ class TestRateCommand:
             assert captured.out == ""
             assert f"give {rows} polish rows, above the cap of 883011" in captured.err
 
+    def test_infeasible_argmin_exits_infeasible(self, capsys, monkeypatch):
+        """The solver's feasibility guard ends a run with exit 3 and the residual."""
+        from bb84_weakrand import optimizer
+
+        search = optimizer._box_search
+        # p_lambda1 = 0 and e_b10 = 1 rebuild to a QBER of 1/2, not the 0.02 observed.
+        monkeypatch.setattr(
+            optimizer,
+            "_box_search",
+            lambda constants, opts: [
+                ([0.0, 0.5, 1.0, 1.0, 1.0], report) for _, report in search(constants, opts)
+            ],
+        )
+        argv = ["rate", "--method", "two-step", "--qber", "0.02", "--eps1", "0.1", "--seed", "1",
+                "--grid", "3", "--starts", "1"]
+        assert main(argv) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no feasible eavesdropper strategy found for Q=0.02 (smallest residual 4.800e-01)\n"
+        )
+
     def test_two_step_clamps_a_deviation_within_tolerance(self):
         """An eps1 a hair below 0 solves as eps1 = 0 (it used to be an empty box)."""
         base = ["rate", "--method", "two-step", "--qber", "0.05", "--seed", "1"]
@@ -245,6 +268,7 @@ class TestSweepCommand:
         assert "above the cap" in capsys.readouterr().err
 
     def test_row_cap_counts_points_devs_and_methods(self, monkeypatch, capsys):
+        assert cli.MAX_SWEEP_ROWS == MEMORY_BUDGET // cli.SWEEP_BYTES_PER_ROW == 3_067_833
         monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 10)
         five_points = ["sweep", "--qber", "0:0.05:0.01", "--method", "one-step"]
         assert main([*five_points, "--dev", "0,0", "--dev", "0.1,0"]) == EXIT_OK

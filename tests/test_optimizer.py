@@ -1,6 +1,7 @@
 """Tests for the box search and the worst-case scenario minimization."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from rebuild_reference import reconstruct_scenario
 
 from bb84_weakrand import optimizer
 from bb84_weakrand.cli import SOLVE_BLOCK
-from bb84_weakrand.errors import InfeasibilityError, ValidationError
+from bb84_weakrand.errors import MEMORY_BUDGET, InfeasibilityError, ValidationError
 from bb84_weakrand.keyrate import (
     DeviationParams,
     HiddenVariableModel,
@@ -23,7 +24,6 @@ from bb84_weakrand.keyrate import (
 from bb84_weakrand.optimizer import (
     DEGENERATE_AXIS_TOL,
     GRID_BYTES_PER_CELL,
-    GRID_MEMORY_BUDGET,
     MAX_GRID_CELLS,
     MAX_POLISH_ROWS,
     OBJECTIVE_TOL,
@@ -66,10 +66,6 @@ class TestTwoStepProblem:
         with pytest.raises(ValidationError):
             TwoStepProblem(q_target=-0.1, dev=DeviationParams(0.0, 0.0))
 
-    def test_basis_probability_open_interval(self):
-        with pytest.raises(ValidationError):
-            TwoStepProblem(q_target=0.1, dev=DeviationParams(0.0, 0.0), observed_basis_prob=0.0)
-
 
 def hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
@@ -81,16 +77,14 @@ class TestObjectiveConsistency:
         points = rng.uniform([0, 0.3, 0, 0, 0], [1, 0.7, 1, 1, 1], size=(2000, 5))
         scalar = [_reduced_objective_scalar(problem, *row) for row in points.tolist()]
         assert hexes(_reduced_objective_vec(points, problem.search_constants)) == hexes(scalar)
-        # The cells the grid scan evaluates: the penalty-free ones, or every
-        # cell of a grid with none (the last basis balance is off its band).
-        for q, eps0, eps1, basis, grid in [
-            (0.02, 0.0, 0.1, 0.5, 9), (0.07, 0.08, 0.2, 0.45, 9), (0.02, 0.0, 0.1, 0.99, 6),
-        ]:
-            problem = TwoStepProblem(q, DeviationParams(eps0, eps1), basis)
+        # The cells the grid scan evaluates with the default starts: the
+        # penalty-free ones, or every cell of a grid with fewer (grid 2).
+        for q, eps0, eps1, grid in [(0.02, 0.0, 0.1, 9), (0.07, 0.08, 0.2, 9), (0.02, 0.0, 0.1, 2)]:
+            problem = TwoStepProblem(q, DeviationParams(eps0, eps1))
             own = problem.search_constants
-            axes = _grid_axes([(0.0, 1.0), own[3:], (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)], grid)
+            axes = _grid_axes([(0.0, 1.0), own[2:], (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)], grid)
             cells = _penalty_free_cells(axes, own)
-            if not len(cells):
+            if len(cells) < SolverOptions().refine_starts:
                 cells = np.arange(grid**5)
             points = _grid_points_array(axes, cells)
             scalar = [_reduced_objective_scalar(problem, *row) for row in points.tolist()]
@@ -98,10 +92,9 @@ class TestObjectiveConsistency:
 
     def test_per_row_constants_match_scalar(self, rng):
         problems = [
-            TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1), observed_basis_prob=b)
-            for q, eps0, eps1, b in [
-                (0.0, 0.0, 0.0, 0.5), (-0.0, 0.1, 0.1, 0.5), (0.07, 0.08, 0.2, 0.45),
-                (0.3, 0.2, 0.5, 0.6), (0.5, 0.3, 0.45, 0.99),
+            TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1))
+            for q, eps0, eps1 in [
+                (0.0, 0.0, 0.0), (-0.0, 0.1, 0.1), (0.07, 0.08, 0.2), (0.3, 0.2, 0.5), (0.5, 0.3, 0.45),
             ]
         ]
         owners = rng.integers(0, len(problems), size=3000)
@@ -110,7 +103,7 @@ class TestObjectiveConsistency:
         # Exact zeros and ones, the box's corners, hit every tie of the clamps.
         points[rng.random(points.shape) < 0.2] = 0.0
         points[rng.random(points.shape) < 0.1] = 1.0
-        band_lo, band_hi = table[3, owners], table[4, owners]
+        band_lo, band_hi = table[2, owners], table[3, owners]
         points[:, 1] = band_lo + points[:, 1] * (band_hi - band_lo)
         values = _reduced_objective_vec(points, table[:, owners])
         expected = [
@@ -120,25 +113,28 @@ class TestObjectiveConsistency:
         assert hexes(values) == hexes(expected)
 
     def test_weights_below_tiny_match_scalar(self, rng):
-        """A side weight in (0, 1e-15) divides as in the scalar: by itself."""
-        # A rectilinear weight of about 1e-16, with a diagonal term of about
-        # -0.1 whose last bit the rectilinear term reaches.
-        problem = TwoStepProblem(
-            q_target=0.05, dev=DeviationParams(0.1, 0.5), observed_basis_prob=1e-16
-        )
-        n = 400
-        p = rng.uniform(0.1, 0.9, size=n)
-        a0 = rng.uniform(0.0, 1e-16, size=n) / p
-        e01 = rng.uniform(0.0, 0.05, size=n)
-        e00, e10 = rng.uniform(0.0, 0.5, size=(2, n))
-        points = np.column_stack([p, a0, e00, e01, e10])
-        a1 = (1e-16 - p * a0) / (1.0 - p)
-        p_rec = p * a0 + (1.0 - p) * a1
-        assert np.all((p_rec > 0.0) & (p_rec < 1e-15))
+        """Vanishing weights take the scalar's fallbacks; a side weight in
+        (0, 1e-15) divides as in the scalar: by itself."""
+        # eps1 = 1/2 lets a0 reach 0 and 1.  At p_lambda1 = 1 the a1 and e11
+        # fallbacks apply and a0 near 0 or 1 leaves one side a weight below
+        # 1e-15; just below p_lambda1 = 1, a0 in {0, 1} does the same.
+        problem = TwoStepProblem(q_target=0.05, dev=DeviationParams(0.1, 0.5))
+        n = 200
+        p = np.concatenate([np.ones(2 * n), 1.0 - rng.uniform(0.0, 2e-15, size=2 * n)])
+        tiny = rng.uniform(0.0, 1e-15, size=2 * n)
+        a0 = np.concatenate([tiny[:n], 1.0 - tiny[n:], rng.choice([0.0, 1.0], size=2 * n)])
+        points = np.column_stack([p, a0, rng.uniform(0.0, 0.5, size=(4 * n, 3))])
+        # At p_lambda1 = 1 and a0 = 1/2, e_b00 = e_b01 = q leaves no e11
+        # residual: both weights of hidden value 1 vanish with no penalty.
+        exact = [[1.0, 0.5, 0.05, 0.05, e10] for e10 in (0.0, 0.3, 1.0)]
+        points = np.concatenate([points, exact])
         values = _reduced_objective_vec(points, problem.search_constants)
         expected = [_reduced_objective_scalar(problem, *row) for row in points.tolist()]
-        assert max(expected) < PENALTY_BASE
         assert hexes(values) == hexes(expected)
+        sides = [(s.p_rec, s.p_dia) for s in map(reconstruct_scenario, [problem] * len(points), points)]
+        assert any(0.0 < rec < 1e-15 for rec, _ in sides)
+        assert any(0.0 < dia < 1e-15 for _, dia in sides)
+        assert max(expected[-len(exact):]) < PENALTY_BASE
 
     def test_feasible_points_match_scenario_evaluation(self, rng):
         """The fast objective and the exact scenario calculator agree."""
@@ -158,13 +154,12 @@ class TestObjectiveConsistency:
 
 
 # Problems for the rebuild: signed-zero QBER, eps1 = 0 (a degenerate basis
-# band) and 0.5 (a band reaching 0 and 1), and basis balances off 1/2.
+# band) and 0.5 (a band reaching 0 and 1), and q up to 1/2.
 REBUILD_PROBLEMS = [
-    TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1), observed_basis_prob=b)
-    for q, eps0, eps1, b in [
-        (0.0, 0.0, 0.0, 0.5), (-0.0, 0.1, 0.1, 0.5), (0.02, 0.0, 0.5, 0.5),
-        (0.07, 0.08, 0.2, 0.45), (0.3, 0.2, 0.5, 0.3), (0.5, 0.5, 0.45, 0.99),
-        (0.03, 0.0, 0.1, 0.7), (0.1, 0.3, 0.0, 0.5),
+    TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1))
+    for q, eps0, eps1 in [
+        (0.0, 0.0, 0.0), (-0.0, 0.1, 0.1), (0.02, 0.0, 0.5), (0.07, 0.08, 0.2),
+        (0.3, 0.2, 0.5), (0.5, 0.5, 0.45), (0.03, 0.0, 0.1), (0.1, 0.3, 0.0),
     ]
 ]
 SCENARIO_FIELDS = ("e_b00", "e_b01", "e_b10", "e_b11", "e_p00", "e_p01", "e_p10", "e_p11")
@@ -185,7 +180,7 @@ class TestRebuild:
         # vanishing weights and the phase bands of no width.
         points[rng.random(points.shape) < 0.25] = 0.0
         points[rng.random(points.shape) < 0.15] = 1.0
-        bands = np.array([problem.search_constants[3:] for problem in REBUILD_PROBLEMS])
+        bands = np.array([problem.search_constants[2:] for problem in REBUILD_PROBLEMS])
         band_lo, band_hi = bands[owners].T
         points[:, 1] = band_lo + points[:, 1] * (band_hi - band_lo)
         problems = [REBUILD_PROBLEMS[owner] for owner in owners.tolist()]
@@ -226,6 +221,18 @@ class TestSolveTwoStep:
         residuals = constraint_residuals(problem, result.argmin)
         assert max(residuals.values()) <= 1e-9
         assert result.solver_report["feasibility_residual"] <= 1e-9
+        # Every q, deviation and grid, with and without a polish.
+        problems = [
+            TwoStepProblem(q, DeviationParams(eps0, eps1))
+            for q in (0.0, 0.05, 0.25, 0.5)
+            for eps0 in (0.0, 0.3)
+            for eps1 in (0.0, 0.1, 0.5)
+        ]
+        for grid in (2, 3, 4):
+            for starts in (0, 10):
+                opts = SolverOptions(grid_points=grid, refine_starts=starts, max_iterations=2)
+                for result in solve_two_step_many(problems, opts):
+                    assert result.solver_report["feasibility_residual"] <= 1e-9
 
     def test_min_rate_matches_argmin_evaluation(self):
         problem = TwoStepProblem(q_target=0.03, dev=DeviationParams(0.05, 0.1))
@@ -310,7 +317,7 @@ class TestGridCap:
             assert [len(axis) for axis in _grid_axes(self.BOX, grid)] == [grid] * 5
 
     def test_cap_is_the_budget_at_the_measured_slope(self):
-        assert MAX_GRID_CELLS == GRID_MEMORY_BUDGET // GRID_BYTES_PER_CELL == 76_695_844
+        assert MAX_GRID_CELLS == MEMORY_BUDGET // GRID_BYTES_PER_CELL == 76_695_844
         assert 37**5 <= MAX_GRID_CELLS < 38**5
         assert [len(axis) for axis in _grid_axes(self.BOX, 37)] == [37] * 5
         with pytest.raises(ValidationError):
@@ -347,7 +354,7 @@ class TestPolishCap:
     ]
 
     def test_cap_is_the_budget_at_the_measured_slope(self):
-        assert MAX_POLISH_ROWS == GRID_MEMORY_BUDGET // POLISH_BYTES_PER_ROW == 883_011
+        assert MAX_POLISH_ROWS == MEMORY_BUDGET // POLISH_BYTES_PER_ROW == 883_011
         # The default starts of a whole sweep block.
         assert SOLVE_BLOCK * SolverOptions().refine_starts <= MAX_POLISH_ROWS
 
@@ -367,27 +374,33 @@ class TestPolishCap:
             solve_two_step_many(self.PROBLEMS, opts)
 
 
-# (q, eps0, eps1, basis balance): a degenerate basis axis (eps1 = 0) and the
-# widest one (eps1 = 1/2), q at both ends, balances off 1/2, and three
-# balances outside their basis bands, which no cell meets.
+# (q, eps0, eps1): a degenerate basis axis (eps1 = 0) and the widest one
+# (eps1 = 1/2), q at both ends and in between.
 GRID_SCAN_PROBLEMS = [
-    (0.0, 0.0, 0.0, 0.5), (0.5, 0.0, 0.0, 0.5), (0.02, 0.0, 0.1, 0.5),
-    (0.0, 0.1, 0.5, 0.5), (0.5, 0.5, 0.5, 0.5), (0.03, 0.1, 0.1, 0.45),
-    (0.1, 0.05, 0.2, 0.3), (0.04, 0.0, 0.45, 0.5), (0.25, 0.2, 0.5, 0.99),
-    (0.02, 0.0, 0.1, 0.99), (0.0, 0.0, 0.0, 0.99), (0.3, 0.1, 0.1, 0.3),
+    (0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.02, 0.0, 0.1), (0.0, 0.1, 0.5),
+    (0.5, 0.5, 0.5), (0.03, 0.1, 0.1), (0.1, 0.05, 0.2), (0.04, 0.0, 0.45),
+    (0.25, 0.2, 0.5), (0.02, 0.3, 0.0), (0.45, 0.0, 0.3), (0.3, 0.1, 0.1),
 ]
 # (grid points, refine starts): no start, one, the default ten, and more
-# starts than a grid has penalty-free cells, over grids 2 to 9.
-GRID_SCAN_OPTIONS = [(2, 0), (3, 1), (4, 100), (5, 10), (6, 40), (7, 1), (8, 0), (9, 10)]
+# starts than a grid has penalty-free cells (grid 2 at the default ten),
+# over grids 2 to 9.
+GRID_SCAN_OPTIONS = [
+    (2, 0), (3, 1), (4, 100), (5, 10), (6, 40), (7, 1), (8, 0), (9, 10), (2, 10),
+]
 
 
 def _grid_scan_case(grid, refine_starts):
     constants = [
-        TwoStepProblem(q, DeviationParams(eps0, eps1), basis).search_constants
-        for q, eps0, eps1, basis in GRID_SCAN_PROBLEMS
+        TwoStepProblem(q, DeviationParams(eps0, eps1)).search_constants
+        for q, eps0, eps1 in GRID_SCAN_PROBLEMS
     ]
     opts = SolverOptions(grid_points=grid, refine_starts=refine_starts, max_iterations=40)
     return constants, opts
+
+
+def _grid_scan_axes(constants, grid):
+    """The grid axes of a problem's box: the unit cube with the basis band on ``a0``."""
+    return _grid_axes([(0.0, 1.0), constants[2:], (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)], grid)
 
 
 def _penalty_free_reference(axes, constants):
@@ -400,26 +413,52 @@ class TestGridScan:
     """The scan of the penalty-free cells picks what a scan of every cell picks."""
 
     @pytest.mark.parametrize("grid, refine_starts", GRID_SCAN_OPTIONS)
-    def test_box_search_matches_full_scan(self, grid, refine_starts):
+    def test_box_search_matches_full_scan(self, grid, refine_starts, monkeypatch):
         constants, opts = _grid_scan_case(grid, refine_starts)
+        scanned = []
+        scan = optimizer._scan_cells
+        monkeypatch.setattr(
+            optimizer, "_scan_cells", lambda *args: scanned.append(len(args[2])) or scan(*args)
+        )
         ours = _box_search(constants, opts)
         expected = grid_scan_box_search(constants, opts)
         assert [hexes(point) for point, _ in ours] == [hexes(point) for point, _ in expected]
         assert [repr(report) for _, report in ours] == [repr(report) for _, report in expected]
+        # One scan per problem: of its penalty-free cells, or of every cell
+        # when there are fewer of those than its starts.
+        assert len(scanned) == len(constants)
+        for own, count in zip(constants, scanned):
+            axes = _grid_scan_axes(own, grid)
+            free = len(_penalty_free_cells(axes, own))
+            n_cells = math.prod(len(axis) for axis in axes)
+            assert count == (free if free >= max(refine_starts, 1) else n_cells)
 
     def test_cases_reach_both_passes(self):
-        """Some cases pick their starts from the penalty-free cells alone, some need every cell."""
+        """Some cases pick their starts from the penalty-free cells alone, some scan every cell."""
         passes = set()
         for grid, refine_starts in GRID_SCAN_OPTIONS:
             constants, _ = _grid_scan_case(grid, refine_starts)
             for own in constants:
-                bounds = [(0.0, 1.0), own[3:], (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
-                axes = _grid_axes(bounds, grid)
-                free = _penalty_free_cells(axes, own)
+                free = _penalty_free_cells(_grid_scan_axes(own, grid), own)
                 passes.add(len(free) >= max(refine_starts, 1))
-                if not own[3] <= own[1] <= own[4]:
-                    assert len(free) == 0
         assert passes == {True, False}
+        # Below q = 1/2, grid 2 has at most 8 penalty-free cells, fewer than
+        # the default starts: its scans are of every cell.
+        for own in _grid_scan_case(2, 10)[0]:
+            free = _penalty_free_cells(_grid_scan_axes(own, 2), own)
+            assert len(free) < SolverOptions().refine_starts or own[0] == 0.5
+
+    def test_every_problem_has_penalty_free_cells(self):
+        """The cells at p_lambda1 = 0 and e_b10 = 0 meet every bound: a1 = 1/2, e_b11 = 2 q."""
+        for grid in range(2, 10):
+            for q in (0.0, 0.05, 0.25, 0.5):
+                for eps0, eps1 in ((0.0, 0.0), (0.2, 0.1), (0.5, 0.5)):
+                    own = TwoStepProblem(q, DeviationParams(eps0, eps1)).search_constants
+                    axes = _grid_scan_axes(own, grid)
+                    free = _penalty_free_cells(axes, own)
+                    points = _grid_points_array(axes, free)
+                    corner = (points[:, 0] == 0.0) & (points[:, 4] == 0.0)
+                    assert np.count_nonzero(corner) == (grid**3 if eps1 else grid**2)
 
     def test_flags_exactly_the_penalty_free_cells(self, rng):
         for _ in range(40):
@@ -427,11 +466,9 @@ class TestGridScan:
             problem = TwoStepProblem(
                 q_target=float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5)])),
                 dev=DeviationParams(float(rng.uniform(0.0, 0.5)), eps1),
-                observed_basis_prob=float(rng.choice([0.5, rng.uniform(0.01, 0.99)])),
             )
             own = problem.search_constants
-            bounds = [(0.0, 1.0), own[3:], (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
-            axes = _grid_axes(bounds, int(rng.integers(2, 13)))
+            axes = _grid_scan_axes(own, int(rng.integers(2, 13)))
             flagged = _penalty_free_cells(axes, own)
             assert flagged.tolist() == _penalty_free_reference(axes, own).tolist()
 
@@ -459,7 +496,7 @@ def _refinement_starts(batched, bounds, opts):
 
 def _two_step_case(q, eps0, eps1):
     problem = TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1))
-    _, _, _, band_lo, band_hi = problem.search_constants
+    *_, band_lo, band_hi = problem.search_constants
     bounds = [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
 
     def objective(v):
@@ -662,18 +699,14 @@ class TestSolveTwoStepMany:
     def test_empty(self):
         assert solve_two_step_many([]) == []
 
-    def test_first_infeasible_problem_raises(self):
-        # A basis balance off 1/2 by more than eps1 admits no scenario.
+    def test_first_infeasible_problem_raises(self, monkeypatch):
+        break_search(monkeypatch, broken_qbers=(0.01, 0.02))
         dev = DeviationParams(0.0, 0.1)
         with pytest.raises(InfeasibilityError) as alone:
-            solve_two_step_many([TwoStepProblem(0.01, dev, observed_basis_prob=0.7)], FAST)
+            solve_two_step_many([TwoStepProblem(0.01, dev)], FAST)
         with pytest.raises(InfeasibilityError) as batch:
             solve_two_step_many(
-                [
-                    TwoStepProblem(0.03, dev),
-                    TwoStepProblem(0.01, dev, observed_basis_prob=0.7),
-                    TwoStepProblem(0.02, dev, observed_basis_prob=0.9),
-                ],
+                [TwoStepProblem(0.03, dev), TwoStepProblem(0.01, dev), TwoStepProblem(0.02, dev)],
                 FAST,
             )
         assert str(batch.value) == str(alone.value) == (
@@ -681,27 +714,31 @@ class TestSolveTwoStepMany:
         )
         assert batch.value.residual == alone.value.residual > 1e-9
 
-    def test_no_rate_without_a_feasible_scenario(self):
-        """The penalised search reaches no point that meets this balance."""
-        problem = TwoStepProblem(0, DeviationParams(0, 0), observed_basis_prob=0.99)
+    def test_no_rate_without_a_feasible_scenario(self, monkeypatch):
+        """An argmin off the constraints raises with its residual instead of giving a rate."""
+        break_search(monkeypatch, broken_qbers=(0.0,))
         with pytest.raises(InfeasibilityError) as info:
-            solve_two_step(problem)
-        assert info.value.residual == pytest.approx(0.49, abs=1e-12)
+            solve_two_step(TwoStepProblem(0, DeviationParams(0, 0)))
+        # The rebuilt scenario has QBER 1/2 where 0 was observed.
+        assert info.value.residual == 0.5
 
-    @pytest.mark.parametrize(
-        "basis_prob, eps1",
-        [(0.4, 0.1), (0.35, 0.1), (0.7, 0.25), (0.7, 0.15), (0.05, 0.45), (0.5, 0.0), (0.51, 0.0)],
-    )
-    def test_infeasible_exactly_outside_the_basis_band(self, basis_prob, eps1):
-        # The basis probability mixes two values in [1/2 - eps1, 1/2 + eps1].
-        problem = TwoStepProblem(0.02, DeviationParams(0.05, eps1), observed_basis_prob=basis_prob)
-        if abs(basis_prob - 0.5) > eps1:
-            with pytest.raises(InfeasibilityError):
-                solve_two_step(problem, FAST)
-        else:
-            result = solve_two_step(problem, FAST)
-            assert result.solver_report["feasibility_residual"] <= 1e-9
-            assert result.argmin.p_rec == pytest.approx(basis_prob, abs=1e-12)
+
+# A point whose rebuilt scenario has QBER 1/2: p_lambda1 = 0 puts all weight
+# on hidden value 1, with e_b10 = 1 and e_b11 clamped up to 0.
+INFEASIBLE_POINT = [0.0, 0.5, 1.0, 1.0, 1.0]
+
+
+def break_search(monkeypatch, broken_qbers):
+    """Make the search end at INFEASIBLE_POINT for the problems at ``broken_qbers``."""
+    search = optimizer._box_search
+
+    def broken(constants, opts):
+        return [
+            (INFEASIBLE_POINT if own[0] in broken_qbers else point, report)
+            for own, (point, report) in zip(constants, search(constants, opts))
+        ]
+
+    monkeypatch.setattr(optimizer, "_box_search", broken)
 
 
 # sha256 of canonical_json(solve_two_step(...).to_dict()) with default
@@ -710,24 +747,27 @@ class TestSolveTwoStepMany:
 # The eps1 = 0 and eps1 = 0.45 cases at q > 0 hit tied vertex values,
 # ordered by np.argsort, whose order among ties depends on the CPU (and
 # may depend on the numpy version); scipy's result moves with it.
+# The (0.05, 0.05, 0.2) golden was recorded from the in-package polish,
+# which the scipy cross-check pins to scipy's bits; its result, like the
+# first four's, does not move when np.argsort orders ties stably.
 GOLDEN_SOLVES = {
-    (0.02, 0.0, 0.1, 0.5): "8014ddce05ef5c7b3658ca46c18626cdc69fd74b315576c500c878c2fba7f0af",
-    (0.0, 0.0, 0.0, 0.5): "7a50c95ff086588bbca5b6455a08d4fd45d5391fcc185c6bf94c0bee5e99e18e",
-    (0.02, 0.0, 0.0, 0.5): "8efd585f8772493b019842804c81acecd7d27f022b00da3d1a68561db0343667",
-    (0.03, 0.1, 0.1, 0.5): "cf4fbcbe94ad8a9834dc30bf8d73e154205c8f87bc5b83e5b8daa0e65efbc139",
-    (0.04, 0.0, 0.45, 0.5): "369f47a0cdfbc84cc2064869dee07946d7c009a34e18b4385dd91e091b39230d",
-    (0.05, 0.05, 0.2, 0.45): "defaa22609d2b8e6269704a54b19d9fccecb406747ffda8a849109e353c05c81",
+    (0.02, 0.0, 0.1): "8014ddce05ef5c7b3658ca46c18626cdc69fd74b315576c500c878c2fba7f0af",
+    (0.0, 0.0, 0.0): "7a50c95ff086588bbca5b6455a08d4fd45d5391fcc185c6bf94c0bee5e99e18e",
+    (0.02, 0.0, 0.0): "8efd585f8772493b019842804c81acecd7d27f022b00da3d1a68561db0343667",
+    (0.03, 0.1, 0.1): "cf4fbcbe94ad8a9834dc30bf8d73e154205c8f87bc5b83e5b8daa0e65efbc139",
+    (0.04, 0.0, 0.45): "369f47a0cdfbc84cc2064869dee07946d7c009a34e18b4385dd91e091b39230d",
+    (0.05, 0.05, 0.2): "467050ae790a50589a25f160c0658511d531e43140aa3fd1cf8893a3280e7516",
 }
 
 # For each tie-dependent golden: a tied simplex its solve sorts, and the
 # order np.argsort gave it when the golden was recorded.
 TIED_SORTS = {
-    (0.02, 0.0, 0.0, 0.5): (
+    (0.02, 0.0, 0.0): (
         ["0x1.6f8269eaa2190p-1", "0x1.6fa77a5809343p-1", "0x1.6fa77a5809343p-1",
          "0x1.6fd21121bb485p-1", "0x1.6f4fced2eb968p-1"],
         [4, 0, 2, 1, 3],
     ),
-    (0.04, 0.0, 0.45, 0.5): (
+    (0.04, 0.0, 0.45): (
         ["-0x1.f036e3217b53cp-3", "-0x1.f036e3217b534p-3", "-0x1.f036e3217b534p-3",
          "-0x1.f036e3217b525p-3", "-0x1.f036e3217b524p-3", "-0x1.f036e3217b538p-3"],
         [0, 5, 2, 1, 3, 4],
@@ -742,9 +782,7 @@ def test_golden_solver_output(case):
         order = np.argsort([float.fromhex(v) for v in values]).tolist()
         if order != recorded:
             pytest.skip(f"np.argsort orders ties as {order} here, {recorded} when recorded")
-    q, eps0, eps1, basis_prob = case
-    problem = TwoStepProblem(
-        q_target=q, dev=DeviationParams(eps0, eps1), observed_basis_prob=basis_prob
-    )
+    q, eps0, eps1 = case
+    problem = TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1))
     payload = canonical_json(solve_two_step(problem).to_dict())
     assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == GOLDEN_SOLVES[case]
