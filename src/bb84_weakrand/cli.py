@@ -58,8 +58,7 @@ _SIM_REQUIRED = ("pulses", "seed")
 _SIM_FIELD_TYPES = {
     "pulses": int,
     "seed": int,
-    "attacker": str,
-    **{key: float for key in _SIM_DEFAULTS if key != "attacker"},
+    **{key: type(value) for key, value in _SIM_DEFAULTS.items()},
 }
 
 
@@ -119,22 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="pulse-level protocol simulation")
     simulate.add_argument("--config", help="flat key=value config file")
-    simulate.add_argument("--pulses", type=int)
-    for flag in ("--q00", "--q01", "--q10", "--q11"):
-        simulate.add_argument(flag, type=float)
-    for flag in (
-        "--p-lambda0",
-        "--p-lambda1",
-        "--p-x0-l0",
-        "--p-x0-l1",
-        "--p-x1-l0",
-        "--p-x1-l1",
-        "--bob-basis-prob",
-    ):
-        simulate.add_argument(flag, type=float)
-    simulate.add_argument(
-        "--attacker", choices=("none", "intercept-resend-with-hints")
-    )
+    # One flag per field; the seed is the common --seed.  An unknown
+    # --attacker is rejected by SimConfig, as in a config file.
+    for key, kind in _SIM_FIELD_TYPES.items():
+        if key != "seed":
+            simulate.add_argument("--" + key, type=kind)
     simulate.add_argument("--dump-pulses", metavar="PATH", help="per-pulse CSV dump")
     add_common(simulate)
 
@@ -306,19 +294,21 @@ def _cmd_verify(args) -> tuple[dict, object, int]:
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip().replace("_", "-")
-            if key not in _SIM_FIELD_TYPES:
-                raise ValidationError(f"{path}:{lineno}: unknown field {key!r}")
-            values[key] = value.strip()
+        try:
+            lines = handle.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("_", "-")
+        if key not in _SIM_FIELD_TYPES:
+            raise ValidationError(f"{path}:{lineno}: unknown field {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -340,8 +330,6 @@ def _resolve_sim_settings(args) -> dict:
         flag_value = getattr(args, key.replace("-", "_"), None)
         if flag_value is not None:
             settings[key] = flag_value
-    if args.seed is not None:
-        settings["seed"] = args.seed
     for key in _SIM_REQUIRED:
         if key not in settings:
             raise ValidationError(f"field {key!r} is required (flag or config file)")

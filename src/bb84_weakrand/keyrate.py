@@ -98,8 +98,8 @@ class StrongRandomnessInputs:
     def __post_init__(self):
         check_prob("p_valid", self.p_valid)
         check_prob("s_a_given_e", self.s_a_given_e)
-        if self.f_ec < 1.0 - PROB_ATOL:
-            raise ValidationError(f"f_ec={self.f_ec!r} below 1")
+        if not (math.isfinite(self.f_ec) and self.f_ec >= 1.0 - PROB_ATOL):
+            raise ValidationError(f"f_ec={self.f_ec!r} is not a finite value of at least 1")
         check_prob("e_obs", self.e_obs)
 
 
@@ -273,13 +273,6 @@ def worst_case_phase_error(
     return hi if hi < 0.5 else lo
 
 
-def _basis_term(p_basis: float, e_bit: float, e_phase: float) -> float:
-    """Contribution p * (1 - h(e_bit) - h(e_phase)); zero-weight bases yield 0."""
-    if p_basis <= 0.0:
-        return 0.0
-    return p_basis * (1.0 - binary_entropy(e_bit) - binary_entropy(e_phase))
-
-
 def evaluate_two_step_scenario(
     scenario: TwoStepScenario,
     dev: DeviationParams,
@@ -346,7 +339,12 @@ def evaluate_two_step_scenario(
             sum(w * e for w, e in zip(dia_w, dia_phases)) / p_dia if p_dia > 0 else 0.0
         )
 
-    rate = _basis_term(p_rec, e_recbit, e_recpha) + _basis_term(p_dia, e_diabit, e_diapha)
+    h_recbit, h_recpha = binary_entropy(e_recbit), binary_entropy(e_recpha)
+    h_diabit, h_diapha = binary_entropy(e_diabit), binary_entropy(e_diapha)
+    # Each basis adds p * (1 - h(e_bit) - h(e_phase)); a zero-weight basis adds 0.
+    rate = (p_rec * (1.0 - h_recbit - h_recpha) if p_rec > 0.0 else 0.0) + (
+        p_dia * (1.0 - h_diabit - h_diapha) if p_dia > 0.0 else 0.0
+    )
     diagnostics = {
         "delta0": gap,
         "p_rec": p_rec,
@@ -355,9 +353,9 @@ def evaluate_two_step_scenario(
         "e_recpha": e_recpha,
         "e_diabit": e_diabit,
         "e_diapha": e_diapha,
-        "h_recbit": binary_entropy(e_recbit),
-        "h_recpha": binary_entropy(e_recpha),
-        "h_diabit": binary_entropy(e_diabit),
-        "h_diapha": binary_entropy(e_diapha),
+        "h_recbit": h_recbit,
+        "h_recpha": h_recpha,
+        "h_diabit": h_diabit,
+        "h_diapha": h_diapha,
     }
     return KeyRateResult(rate=rate, diagnostics=diagnostics)

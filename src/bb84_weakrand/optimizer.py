@@ -42,7 +42,7 @@ PENALTY_CAP = 1e6
 DEGENERATE_AXIS_TOL = 1e-15
 # MAX_GRID_CELLS keeps the grid scan within MEMORY_BUDGET at
 # GRID_BYTES_PER_CELL, an upper bound on the slope of the peak RSS of a
-# two-step solve over --grid 10 to 20: 1.6 B per cell when the scan keeps
+# two-step solve over --grid 10 to 20: 2.0 B per cell when the scan keeps
 # only the penalty-free cells (`rate --method two-step --qber 0.05 --eps1
 # 0.1`), 23 B when it scans every cell (each cell's index and value and the
 # partial sort's copy and masks), which it does only when --starts exceeds
@@ -183,17 +183,54 @@ def _eliminate(numerator, weight, fallback):
     return np.where(small, fallback, quotient), np.where(small, np.abs(numerator), 0.0)
 
 
+def _feasibility(p, a0, e00, e01, e10, constants):
+    """The eliminated ``a1`` and ``e11`` at (p_lambda1, a0, e_b00, e_b01, e_b10).
+
+    The search's one feasibility step.  The arguments broadcast together:
+    rows of points, or grid axes each on its own dimension.  ``a1`` comes
+    from the basis balance of 1/2 and ``e11`` from the observed QBER; both
+    are clamped to their bounds.  ``constants`` is a problem's
+    ``search_constants``, or four arrays that give each row its own
+    problem's.  Returns ``(a1, (w00, w01, w10, w11), e11, penalty)``: the
+    clamped values, the weight ``w_hs`` of hidden value ``h`` on side
+    ``s`` (side 0 the rectilinear basis), and the distance to feasibility,
+    0 exactly at a feasible point: the unclamped variables' distances to
+    their bounds, plus abs(numerator) where a weight vanishes.  The bits
+    are :func:`_reduced_objective_scalar`'s, as for :func:`_elimination`.
+    """
+    q, _, band_lo, band_hi = constants
+    one_minus_p = 1.0 - p
+    a1, collapsed = _eliminate(0.5 - p * a0, one_minus_p, 0.5)
+    # np.clip keeps the bound on a tie where the scalar keeps a1, the same
+    # bits: a1 is never -0.0 (a vanishing numerator is +0.0), nor is the band.
+    clamped = a1.clip(band_lo, band_hi)
+    band_gap = np.abs(a1 - clamped)
+    w00, w01 = a0 * p, (1.0 - a0) * p
+    w10, w11 = clamped * one_minus_p, (1.0 - clamped) * one_minus_p
+
+    e11, weightless = _eliminate(q - w00 * e00 - w10 * e10 - w01 * e01, w11, 0.0)
+    # The scalar's clamp, which keeps e11 on a tie: -0.0 stays -0.0.
+    e11_clamped = np.where(0.0 > e11, 0.0, np.where(1.0 < e11, 1.0, e11))
+    # A zero penalty's sign never matters.  e11 is not needed after this.
+    range_gap = np.abs(np.subtract(e11, e11_clamped, out=e11), out=e11)
+    # The scalar's sum starts from 0.0; band_gap is never -0.0, so leaving
+    # that 0.0 out keeps the bits.
+    penalty = band_gap if collapsed is None else collapsed + band_gap
+    if weightless is not None:
+        penalty = penalty + weightless
+    penalty = penalty + range_gap
+    return clamped, (w00, w01, w10, w11), e11_clamped, penalty
+
+
 def _elimination(points: np.ndarray, constants):
     """The scenario that each row (p_lambda1, a0, e_b00, e_b01, e_b10) stands for.
 
-    Eliminates the second basis probability ``a1`` via the basis balance of
-    1/2 and the last bit error rate ``e11`` via the observed QBER,
-    clamps both to their bounds, and bounds each side's phase error by the
-    band that its cross-basis bit error rates allow.  ``constants`` is a
-    problem's ``search_constants``, or four arrays that give each row its
-    own problem's.  Returns ``(a1, rates, side, weighted, errors, worst,
-    penalty)``, where side 0 is the rectilinear basis and side 1 the
-    diagonal one:
+    Takes ``a1``, ``e11``, the weights and the penalty from
+    :func:`_feasibility`, and bounds each side's phase error by the band
+    that its cross-basis bit error rates allow.  ``constants`` is as for
+    :func:`_feasibility`.  Returns ``(a1, rates, side, weighted, errors,
+    worst, penalty)``, where side 0 is the rectilinear basis and side 1
+    the diagonal one:
 
     - ``a1``, clamped to the basis band
     - ``rates[h, k, s]`` for hidden value ``h`` on side ``s``: its bit error
@@ -204,9 +241,7 @@ def _elimination(points: np.ndarray, constants):
     - ``errors[k, s]``, the hidden values' ``rates`` averaged by weight
     - ``worst[s]``, the point of the side's phase band ``errors[1:, s]``
       nearest 1/2, the adversarial phase error
-    - ``penalty``, the distance to feasibility: the unclamped variables'
-      distances to their bounds, plus abs(numerator) where a weight
-      vanishes
+    - ``penalty``, :func:`_feasibility`'s distance to feasibility
 
     Every value repeats :func:`_reduced_objective_scalar` operation for
     operation: the same rounding steps in the same order, divisions by the
@@ -214,40 +249,14 @@ def _elimination(points: np.ndarray, constants):
     included (where a numpy clamp stands in, the comment says why its ties
     give the same bits).
     """
-    p, a0, _, e01, e10 = points.T
-    q, gap, band_lo, band_hi = constants
-    size = len(p)
-
-    one_minus_p = 1.0 - p
-    a1, collapsed = _eliminate(0.5 - p * a0, one_minus_p, 0.5)
-    # np.clip keeps the bound on a tie where the scalar keeps a1, the same
-    # bits: a1 is never -0.0 (a vanishing numerator is +0.0), nor is the band.
-    clamped = a1.clip(band_lo, band_hi)
-    band_gap = np.abs(a1 - clamped)
+    a1, weights, e11, penalty = _feasibility(*points.T, constants)
+    gap = constants[1]
     # weights[h, s] is the weight of hidden value h on side s.
-    weights = np.empty((2, 2, size))
-    weights[0, 0] = a0
-    weights[1, 0] = clamped
-    np.subtract(1.0, weights[:, 0], out=weights[:, 1])
-    weights[0] *= p
-    weights[1] *= one_minus_p
-
-    bits = weights[:, 0] * points[:, 2::2].T
-    residual = q - bits[0] - bits[1] - weights[0, 1] * e01
-    e11, weightless = _eliminate(residual, weights[1, 1], 0.0)
-    rates = np.empty((2, 3, 2, size))
+    weights = np.reshape(weights, (2, 2, len(points)))
+    rates = np.empty((2, 3, 2, len(points)))
     rates[0, 0] = points[:, 2:4].T
-    rates[1, 0, 0] = e10
-    # The scalar's clamp, which keeps e11 on a tie: -0.0 stays -0.0.
-    rates[1, 0, 1] = np.where(0.0 > e11, 0.0, np.where(1.0 < e11, 1.0, e11))
-    # A zero penalty's sign never matters.
-    range_gap = np.abs(e11 - rates[1, 0, 1])
-    # The scalar's sum starts from 0.0; band_gap is never -0.0, so leaving
-    # that 0.0 out keeps the bits.
-    penalty = band_gap if collapsed is None else collapsed + band_gap
-    if weightless is not None:
-        penalty = penalty + weightless
-    penalty = penalty + range_gap
+    rates[1, 0, 0] = points[:, 4]
+    rates[1, 0, 1] = e11
     cross = rates[:, 0, ::-1]
     np.subtract(cross, gap, out=rates[:, 1])
     np.copyto(rates[:, 1], 0.0, where=0.0 > rates[:, 1])
@@ -263,7 +272,7 @@ def _elimination(points: np.ndarray, constants):
     # that is 1/2 clamped to [lo, hi]; a tie is with 0.5 itself.
     worst = np.maximum(errors[1], 0.5)
     np.minimum(worst, errors[2], out=worst)
-    return clamped, rates, side, weighted, errors, worst, penalty
+    return a1, rates, side, weighted, errors, worst, penalty
 
 
 def _reduced_objective_vec(points: np.ndarray, constants) -> np.ndarray:
@@ -377,37 +386,20 @@ def _grid_points_array(axes: list[np.ndarray], cells: np.ndarray) -> np.ndarray:
 def _penalty_free_cells(axes: list[np.ndarray], constants) -> np.ndarray:
     """Flat indices, ascending, of the grid cells that carry no penalty.
 
-    Repeats :func:`_elimination`'s operations on the grid axes (p_lambda1,
-    a0, e_b00, e_b01, e_b10), so a cell is kept exactly when its penalty
-    is 0: ``a1`` inside the basis band, ``e11`` in [0, 1], and a zero
-    numerator wherever a weight vanishes.  ``a1`` and the weights depend
-    on (p_lambda1, a0) only; the ``e11`` residual is built by broadcasting,
-    one slab of fixed p_lambda1 at a time, so no temporary spans the grid.
+    Runs :func:`_feasibility` on the grid axes (p_lambda1, a0, e_b00,
+    e_b01, e_b10), each set on its own dimension, one slab of fixed
+    p_lambda1 at a time, so no temporary spans the grid, and keeps the
+    cells whose penalty is 0.
     """
-    q, _, band_lo, band_hi = constants
     p_axis, a0, e00, e01, e10 = axes
-    p = p_axis[:, None]
-    one_minus_p = 1.0 - p
-    a1, collapsed = _eliminate(0.5 - p * a0, one_minus_p, 0.5)
-    clamped = a1.clip(band_lo, band_hi)
-    in_band = a1 == clamped
-    if collapsed is not None:
-        in_band &= collapsed == 0.0
-    w00, w01 = a0 * p, (1.0 - a0) * p
-    w10, w11 = clamped * one_minus_p, (1.0 - clamped) * one_minus_p
-
     slab = math.prod(len(axis) for axis in axes[1:])
     found = []
-    for i in np.flatnonzero(in_band.any(axis=1)):
-        # q - bits[0] - bits[1] - weights[0, 1] * e01 over (a0, e00, e01, e10).
-        residual = (q - w00[i][:, None] * e00)[:, :, None] - (w10[i][:, None] * e10)[:, None]
-        residual = residual[:, :, None] - (w01[i][:, None] * e01)[:, None, :, None]
-        e11, weightless = _eliminate(residual, w11[i][:, None, None, None], 0.0)
-        keep = (e11 >= 0.0) & (e11 <= 1.0) & in_band[i][:, None, None, None]
-        if weightless is not None:
-            keep &= weightless == 0.0
-        found.append(i * slab + np.flatnonzero(keep))
-    return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
+    for i, p in enumerate(p_axis):
+        *_, penalty = _feasibility(
+            p, a0[:, None, None, None], e00[:, None, None], e01[:, None], e10, constants
+        )
+        found.append(i * slab + np.flatnonzero(penalty == 0.0))
+    return np.concatenate(found)
 
 
 def _scan_cells(axes, constants, cells: np.ndarray) -> np.ndarray:
@@ -675,8 +667,9 @@ def _box_search(constants, opts):
     caps of :class:`SolverOptions` are checked before any grid is built.
 
     The scan evaluates the objective only where it can matter.  A
-    pre-pass, :func:`_penalty_free_cells`, finds the cells that carry no
-    penalty (3.1 % of the cells of a 36-point sweep over QBERs up to 0.11
+    pre-pass, :func:`_penalty_free_cells`, runs the objective's own
+    feasibility step, :func:`_feasibility`, and finds the cells that carry
+    no penalty (3.1 % of the cells of a 36-point sweep over QBERs up to 0.11
     at the default grid), at least g**3 of g**5 (g**2 at eps1 = 0): those
     at p_lambda1 = 0 and e_b10 = 0, where a1 = 1/2 and e_b11 = 2 q.  A
     penalised value exceeds ``PENALTY_BASE - 1`` and an unpenalised one is

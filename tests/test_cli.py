@@ -56,6 +56,14 @@ class TestRateCommand:
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["result"]["rate"] == 1.0
 
+    @pytest.mark.parametrize("f_ec", ["nan", "inf"])
+    def test_strong_non_finite_inefficiency_exits_validation(self, f_ec, capsys):
+        argv = ["rate", "--method", "strong", "--p", "0.5", "--s", "0.5", "--f", f_ec, "--e", "0.02"]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"f_ec={float(f_ec)!r}" in captured.err
+
     def test_two_step_runs_with_seed(self):
         proc = run_cli(
             "rate", "--method", "two-step", "--qber", "0.02", "--eps0", "0",
@@ -366,6 +374,20 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--config", str(cfg))
         assert proc.returncode == EXIT_VALIDATION
         assert "'eve'" in proc.stderr and "intercept-resend-with-hints" in proc.stderr
+
+    def test_unknown_attacker_flag_rejected(self, capsys):
+        argv = ["simulate", "--pulses", "100", "--seed", "1", "--attacker", "eve"]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "'eve'" in err and "intercept-resend-with-hints" in err
+
+    def test_config_file_not_utf8_exits_validation(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe\n")
+        proc = run_cli("simulate", "--config", str(cfg))
+        assert proc.returncode == EXIT_VALIDATION
+        assert f"{cfg}: not UTF-8 text" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_malformed_config_value_named(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -744,12 +744,14 @@ def break_search(monkeypatch, broken_qbers):
 # sha256 of canonical_json(solve_two_step(...).to_dict()) with default
 # options, recorded while scipy's Nelder-Mead did the polish (x86-64 with
 # AVX-512, numpy 2.4); pins the exact output on machines without scipy.
-# The eps1 = 0 and eps1 = 0.45 cases at q > 0 hit tied vertex values,
-# ordered by np.argsort, whose order among ties depends on the CPU (and
-# may depend on the numpy version); scipy's result moves with it.
-# The (0.05, 0.05, 0.2) golden was recorded from the in-package polish,
-# which the scipy cross-check pins to scipy's bits; its result, like the
-# first four's, does not move when np.argsort orders ties stably.
+# Every one of these solves sorts simplices with tied vertex values, and
+# np.argsort's order among ties depends on the CPU (and may depend on the
+# numpy version); scipy's result moves with it.  Here the eps1 = 0 and
+# eps1 = 0.45 cases at q > 0 sort some ties out of index order; the other
+# four keep their ties in index order, so their results do not move when
+# np.argsort orders ties stably.  The (0.05, 0.05, 0.2) golden was recorded
+# from the in-package polish, which the scipy cross-check pins to scipy's
+# bits.
 GOLDEN_SOLVES = {
     (0.02, 0.0, 0.1): "8014ddce05ef5c7b3658ca46c18626cdc69fd74b315576c500c878c2fba7f0af",
     (0.0, 0.0, 0.0): "7a50c95ff086588bbca5b6455a08d4fd45d5391fcc185c6bf94c0bee5e99e18e",
@@ -759,29 +761,48 @@ GOLDEN_SOLVES = {
     (0.05, 0.05, 0.2): "467050ae790a50589a25f160c0658511d531e43140aa3fd1cf8893a3280e7516",
 }
 
-# For each tie-dependent golden: a tied simplex its solve sorts, and the
-# order np.argsort gave it when the golden was recorded.
+# For each golden: a tied simplex its solve sorts, and the order np.argsort
+# gave it when the golden was recorded.
 TIED_SORTS = {
+    (0.02, 0.0, 0.1): (
+        ["0x1.540dc68eeb194p-1", "0x1.540dc68eeb1bbp-1", "0x1.540dc68eeb1c6p-1",
+         "0x1.540dc68eeb1eep-1", "0x1.540dc68eeb200p-1", "0x1.540dc68eeb1eep-1"],
+        [0, 1, 2, 3, 5, 4],
+    ),
+    (0.0, 0.0, 0.0): (
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "0x1.f47f9a59e936cp+9"],
+        [0, 1, 2, 3, 4],
+    ),
     (0.02, 0.0, 0.0): (
         ["0x1.6f8269eaa2190p-1", "0x1.6fa77a5809343p-1", "0x1.6fa77a5809343p-1",
          "0x1.6fd21121bb485p-1", "0x1.6f4fced2eb968p-1"],
         [4, 0, 2, 1, 3],
+    ),
+    (0.03, 0.1, 0.1): (
+        ["0x1.fddf100a241a8p-2", "0x1.fddf100a24286p-2", "0x1.fddf100a242e5p-2",
+         "0x1.fddf100a24402p-2", "0x1.fddf100a2442ep-2", "0x1.fddf100a24402p-2"],
+        [0, 1, 2, 3, 5, 4],
     ),
     (0.04, 0.0, 0.45): (
         ["-0x1.f036e3217b53cp-3", "-0x1.f036e3217b534p-3", "-0x1.f036e3217b534p-3",
          "-0x1.f036e3217b525p-3", "-0x1.f036e3217b524p-3", "-0x1.f036e3217b538p-3"],
         [0, 5, 2, 1, 3, 4],
     ),
+    (0.05, 0.05, 0.2): (
+        ["0x1.7e34d35f3dcfap-3", "0x1.7e34d35f3df54p-3", "0x1.7e34d35f3dff0p-3",
+         "0x1.7e34d35f3e022p-3", "0x1.7e34d35f3e03ap-3", "0x1.7e34d35f3e03ap-3"],
+        [0, 1, 2, 3, 4, 5],
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_SOLVES))
 def test_golden_solver_output(case):
-    if case in TIED_SORTS:
-        values, recorded = TIED_SORTS[case]
-        order = np.argsort([float.fromhex(v) for v in values]).tolist()
-        if order != recorded:
-            pytest.skip(f"np.argsort orders ties as {order} here, {recorded} when recorded")
+    values, recorded = TIED_SORTS[case]
+    order = np.argsort([float.fromhex(v) for v in values]).tolist()
+    if order != recorded:
+        pytest.skip(f"np.argsort orders ties as {order} here, {recorded} when recorded")
     q, eps0, eps1 = case
     problem = TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1))
     payload = canonical_json(solve_two_step(problem).to_dict())
