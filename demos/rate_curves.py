@@ -9,7 +9,7 @@ Prints the table and, when matplotlib is available, saves a plot.
 import numpy as np
 
 from bb84_weakrand import DeviationParams, one_step_rate
-from bb84_weakrand.optimizer import SolverOptions, TwoStepProblem, solve_two_step_many
+from bb84_weakrand.optimizer import TwoStepProblem, solve_two_step_many
 
 try:
     import matplotlib
@@ -36,7 +36,7 @@ def compute_curve(method: str, dev: DeviationParams) -> list[float]:
         return [one_step_rate(float(q), dev).rate for q in QBERS]
     # One batch: every point's refinement starts polish together.
     problems = [TwoStepProblem(q_target=float(q), dev=dev) for q in QBERS]
-    return [result.min_rate.rate for result in solve_two_step_many(problems, SolverOptions(seed=0))]
+    return [result.min_rate.rate for result in solve_two_step_many(problems)]
 
 
 def main():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import sys
 
@@ -34,11 +33,6 @@ EXIT_IO = 4
 # peak RSS over 2e4 to 1.6e5 one-step rows.  The cap keeps a sweep in budget.
 SWEEP_BYTES_PER_ROW = 1400
 MAX_SWEEP_ROWS = MEMORY_BUDGET // SWEEP_BYTES_PER_ROW
-# Two-step sweep points polished together in one lockstep batch.  On a
-# 144-point sweep, blocks of 36, 72 and 144 were equally fast and 12 was
-# slower; a block's arrays are small next to one grid scan, so memory stays
-# flat in sweep length.
-SOLVE_BLOCK = 36
 
 _SIM_DEFAULTS = {
     "q00": 1.0,
@@ -87,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--s", type=float, help="eavesdropper entropy per bit (strong)")
     rate.add_argument("--f", type=float, help="error-correction inefficiency (strong)")
     rate.add_argument("--e", type=float, help="observed bit error rate (strong)")
-    _add_solver_flags(rate)
     add_common(rate)
 
     sweep = sub.add_parser("sweep", help="rate curves over a QBER range")
@@ -106,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("one-step", "two-step"),
         help="rate method; repeatable",
     )
-    _add_solver_flags(sweep)
     add_common(sweep)
 
     verify = sub.add_parser("verify", help="brute-force check of an error-gap bound")
@@ -127,29 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(simulate)
 
     return parser
-
-
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid", type=int, default=9, help="solver grid points per axis")
-    parser.add_argument("--starts", type=int, default=10, help="simplex refinement starts")
-    parser.add_argument("--maxiter", type=int, default=500, help="iterations per refinement")
-
-
-def _solver_options(args, seed: int):
-    from .optimizer import SolverOptions
-
-    return SolverOptions(
-        grid_points=args.grid,
-        refine_starts=args.starts,
-        max_iterations=args.maxiter,
-        seed=seed,
-    )
-
-
-def _require_seed(args, reason: str) -> int:
-    if args.seed is None:
-        raise ValidationError(f"--seed is required for {reason}")
-    return args.seed
 
 
 def _require(args, names: list[str]) -> None:
@@ -180,13 +149,9 @@ def _cmd_rate(args) -> tuple[dict, object, int]:
     if args.method == "one-step":
         return params, one_step_rate(args.qber, dev).to_dict(), EXIT_OK
 
-    seed = _require_seed(args, "optimizer-backed commands")
     from .optimizer import TwoStepProblem, solve_two_step
 
-    params.update({"grid": args.grid, "starts": args.starts, "maxiter": args.maxiter})
-    result = solve_two_step(
-        TwoStepProblem(q_target=args.qber, dev=dev), _solver_options(args, seed)
-    )
+    result = solve_two_step(TwoStepProblem(q_target=args.qber, dev=dev))
     return params, result.to_dict(), EXIT_OK
 
 
@@ -234,10 +199,6 @@ def _cmd_sweep(args) -> tuple[dict, object, int, list[str], list[list]]:
     devs = [_parse_dev(text) for text in args.dev]
     methods = list(args.method)
     qbers = _parse_qber_range(args.qber, len(devs) * len(methods))
-    if "two-step" in methods:
-        seed = _require_seed(args, "sweeps that include the two-step method")
-    else:
-        seed = args.seed if args.seed is not None else 0
 
     rows = []
     for qber in qbers:
@@ -252,26 +213,17 @@ def _cmd_sweep(args) -> tuple[dict, object, int, list[str], list[list]]:
     if "two-step" in methods:
         from .optimizer import TwoStepProblem, solve_two_step_many
 
-        opts = _solver_options(args, seed)
-        pending = (row for row in rows if row[3] == "two-step")
-        while block := list(itertools.islice(pending, SOLVE_BLOCK)):
-            problems = [
-                TwoStepProblem(q_target=row[0], dev=DeviationParams(row[1], row[2]))
-                for row in block
-            ]
-            for row, result in zip(block, solve_two_step_many(problems, opts)):
-                row[4:] = [result.min_rate.rate, result.min_rate.rate_clamped]
+        pending = [row for row in rows if row[3] == "two-step"]
+        problems = [
+            TwoStepProblem(q_target=row[0], dev=DeviationParams(row[1], row[2]))
+            for row in pending
+        ]
+        for row, result in zip(pending, solve_two_step_many(problems)):
+            row[4:] = [result.min_rate.rate, result.min_rate.rate_clamped]
 
     header = ["qber", "eps0", "eps1", "method", "rate", "rate_clamped"]
     result = [dict(zip(header, row)) for row in rows]
-    params = {
-        "qber": args.qber,
-        "dev": list(args.dev),
-        "method": methods,
-        "grid": args.grid,
-        "starts": args.starts,
-        "maxiter": args.maxiter,
-    }
+    params = {"qber": args.qber, "dev": list(args.dev), "method": methods}
     return params, result, EXIT_OK, header, rows
 
 
@@ -293,11 +245,15 @@ def _cmd_verify(args) -> tuple[dict, object, int]:
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    # A config is input: a file that cannot be read is a validation failure
+    # (exit 2), not an output I/O failure (exit 4).
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().split("\n")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

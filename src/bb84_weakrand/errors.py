@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the memory budget its caps enforce."""
 
-# Each cap on an input that sizes an allocation (sweep rows, grid cells,
-# polish starts, simplex rows) is this budget over a measured bytes-per-item.
+# Each cap on an input that sizes an allocation (sweep rows, simplex rows)
+# is this budget over a measured bytes-per-item.
 MEMORY_BUDGET = 4 * 2**30
 
 

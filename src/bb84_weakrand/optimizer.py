@@ -6,15 +6,17 @@ basis probability, and three of the four bit error rates.  The second
 conditional basis probability is eliminated by the basis balance of 1/2,
 the fourth bit error rate by the observed QBER, and the phase
 errors by their closed-form adversarial worst case.  A coarse
-deterministic grid seeds a handful of Nelder-Mead refinements;
-reproducibility is favoured over solver sophistication.
+deterministic grid of ``GRID_POINTS`` points per free axis seeds
+``REFINE_STARTS`` Nelder-Mead refinements of at most ``MAX_ITERATIONS``
+iterations each.  These settings are fixed, and nothing in the search is
+random, so it needs no seed.
 
 The refinement is an in-package bounded Nelder-Mead that repeats the
 steps of ``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)``
 (scipy 1.17) operation for operation, so it returns the same bits
-without depending on scipy.  It polishes every start of every problem
-in one lockstep batch over numpy arrays: :func:`solve_two_step_many`
-solves a whole sweep's problems together.
+without depending on scipy.  It polishes every start of up to
+``SOLVE_BLOCK`` problems in one lockstep batch over numpy arrays:
+:func:`solve_two_step_many` solves a whole sweep's problems that way.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MEMORY_BUDGET, InfeasibilityError, ValidationError
+from .errors import InfeasibilityError, ValidationError
 from .keyrate import (
     DeviationParams,
     HiddenVariableModel,
@@ -40,21 +42,17 @@ from .quantum_core import binary_entropy
 PENALTY_BASE = 1e3
 PENALTY_CAP = 1e6
 DEGENERATE_AXIS_TOL = 1e-15
-# MAX_GRID_CELLS keeps the grid scan within MEMORY_BUDGET at
-# GRID_BYTES_PER_CELL, an upper bound on the slope of the peak RSS of a
-# two-step solve over --grid 10 to 20: 2.0 B per cell when the scan keeps
-# only the penalty-free cells (`rate --method two-step --qber 0.05 --eps1
-# 0.1`), 23 B when it scans every cell (each cell's index and value and the
-# partial sort's copy and masks), which it does only when --starts exceeds
-# the penalty-free cells.  56 B, a scan that built every cell's point, keeps
-# the cap in place.
-GRID_BYTES_PER_CELL = 56
-MAX_GRID_CELLS = MEMORY_BUDGET // GRID_BYTES_PER_CELL
-# MAX_POLISH_ROWS keeps one batch's polished starts within the same budget:
-# `rate --method two-step --eps1 0.1 --grid 9` peaks 4,745 B higher per start
-# over 20,000 to 59,049 starts (--maxiter 2; 4,858 B over 10 to 20,000 at 60).
-POLISH_BYTES_PER_ROW = 4864
-MAX_POLISH_ROWS = MEMORY_BUDGET // POLISH_BYTES_PER_ROW
+# The search's settings: grid points per free axis of each problem's box,
+# the best grid cells polished per problem, and the polish's iteration cap
+# (scipy's ``maxiter``).
+GRID_POINTS = 9
+REFINE_STARTS = 10
+MAX_ITERATIONS = 500
+# Problems polished together in one lockstep batch.  On a 144-point sweep,
+# blocks of 36, 72 and 144 were equally fast and 12 was slower; a block's
+# arrays are small next to one grid scan, so memory stays flat in the
+# number of problems.
+SOLVE_BLOCK = 36
 # The polish's stop test: scipy's Nelder-Mead ``fatol`` and ``xatol``.
 OBJECTIVE_TOL = 1e-6
 VARIABLE_TOL = 1e-8
@@ -62,32 +60,6 @@ VARIABLE_TOL = 1e-8
 # objective's temporaries to stay in cache (measured fastest on 9**5 cells).
 GRID_CHUNK = 8192
 _TINY = 1e-15
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for the grid-plus-simplex search; defaults favour reproducibility.
-
-    The scan grid has ``grid_points`` to the power of the number of
-    non-degenerate axes cells, at most ``MAX_GRID_CELLS`` (76,695,844 at 56
-    B each, above the measured slopes: up to 37 points on each of the
-    five two-step axes).  A batch of problems polishes ``min(refine_starts,
-    cells)`` starts each, at most ``MAX_POLISH_ROWS`` (883,011 at 4,864 B)
-    in all.  Larger inputs raise ValidationError before any grid is built.
-    """
-
-    grid_points: int = 9
-    refine_starts: int = 10
-    max_iterations: int = 500
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.grid_points < 2:
-            raise ValidationError("grid_points must be at least 2")
-        if self.refine_starts < 0:
-            raise ValidationError("refine_starts must be non-negative")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -362,15 +334,6 @@ def _reduced_objective_scalar(
 
 
 def _grid_axes(bounds: list[tuple[float, float]], grid_points: int) -> list[np.ndarray]:
-    cells = 1
-    for lo, hi in bounds:
-        if hi - lo > DEGENERATE_AXIS_TOL:
-            cells *= grid_points
-    if cells > MAX_GRID_CELLS:
-        raise ValidationError(
-            f"a grid of {grid_points} points per axis has {cells} cells, "
-            f"above the cap of {MAX_GRID_CELLS}; use fewer grid points"
-        )
     return [
         np.linspace(lo, hi, grid_points) if hi - lo > DEGENERATE_AXIS_TOL else np.array([lo])
         for lo, hi in bounds
@@ -557,14 +520,14 @@ class _Simplices:
         self.fsim[1:, shrink] = values
 
 
-def _refine(objective, starts, labels, lower, upper, opts):
+def _refine(objective, starts, labels, lower, upper):
     """Nelder-Mead polish of many starts at once, degenerate axes held fixed.
 
     Each row of ``starts`` (a full point with its own ``lower`` and
     ``upper`` bounds and at least one free axis, as the two-step box's
     p_lambda1 axis always is) follows ``scipy.optimize.minimize(method=
     "Nelder-Mead", bounds=...)`` of scipy 1.17 over its free axes, with
-    ``opts.max_iterations``, ``OBJECTIVE_TOL`` and ``VARIABLE_TOL`` as
+    ``MAX_ITERATIONS``, ``OBJECTIVE_TOL`` and ``VARIABLE_TOL`` as
     ``maxiter``, ``fatol`` and ``xatol``.  Every IEEE step, clip and tie
     rule is scipy's, so each row ends on scipy's bits and iteration count.
 
@@ -574,15 +537,13 @@ def _refine(objective, starts, labels, lower, upper, opts):
     the entry of ``labels`` for the row it belongs to; it must be pure, so
     that the evaluations scipy would skip change nothing.  Shrunk vertices go in a second call, only
     when some row shrinks.  A row leaves the batch when it meets scipy's
-    stop test or reaches ``opts.max_iterations``.  Returns ``(points,
+    stop test or reaches ``MAX_ITERATIONS``.  Returns ``(points,
     values, iterations)``, one entry per row.
     """
     n_rows, dim = starts.shape
     points = starts.copy()
     values = np.empty(n_rows)
     iterations = np.zeros(n_rows, dtype=int)
-    if n_rows == 0:
-        return points, values, iterations
 
     def evaluate(parts):
         """One objective call for several ``(points, labels)`` pairs."""
@@ -621,7 +582,7 @@ def _refine(objective, starts, labels, lower, upper, opts):
         group.sort()
 
     count = 1
-    while count < opts.max_iterations and groups:
+    while count < MAX_ITERATIONS and groups:
         finished = False
         for group in groups:
             done = group.converged(VARIABLE_TOL, OBJECTIVE_TOL)
@@ -657,59 +618,47 @@ def _refine(objective, starts, labels, lower, upper, opts):
     return points, values, iterations
 
 
-def _box_search(constants, opts):
+def _box_search(constants):
     """Grid scan of every problem's box, then one lockstep polish of all their starts.
 
     ``constants`` lists each problem's ``search_constants``; its box is the
     unit cube with the basis band on the ``a0`` axis.  Each box keeps the
-    best cell of its grid and polishes its ``opts.refine_starts`` best
-    cells.  Returns one ``(point, report)`` per problem, in order.  The
-    caps of :class:`SolverOptions` are checked before any grid is built.
+    best cell of its grid and polishes its ``REFINE_STARTS`` best cells.
+    Returns one ``(point, report)`` per problem, in order.
 
     The scan evaluates the objective only where it can matter.  A
     pre-pass, :func:`_penalty_free_cells`, runs the objective's own
     feasibility step, :func:`_feasibility`, and finds the cells that carry
-    no penalty (3.1 % of the cells of a 36-point sweep over QBERs up to 0.11
-    at the default grid), at least g**3 of g**5 (g**2 at eps1 = 0): those
-    at p_lambda1 = 0 and e_b10 = 0, where a1 = 1/2 and e_b11 = 2 q.  A
-    penalised value exceeds ``PENALTY_BASE - 1`` and an unpenalised one is
-    at most 1, so when ``max(refine_starts, 1)`` cells are penalty-free no
-    other cell can be among the best, and the one scan evaluates those
-    alone; otherwise it evaluates every cell.  Every value is the
-    elementwise objective, the same bits in any chunk, and the scanned
-    cells are in ascending order, so the best cells and their index tie
-    order are those of a scan of every cell; the best cell, and so the
-    argmin, carries no penalty.  ``grid_evaluations`` reports the grid's
-    cells, evaluated or not.
+    no penalty (3.1 % of the cells of a 36-point sweep over QBERs up to 0.11),
+    at least g**3 of g**5 (g**2 at eps1 = 0): those at p_lambda1 = 0 and
+    e_b10 = 0, where a1 = 1/2 and e_b11 = 2 q.  At g = ``GRID_POINTS`` that
+    is more than ``REFINE_STARTS``.  A penalised value exceeds
+    ``PENALTY_BASE - 1`` and an unpenalised one is at most 1, so no other
+    cell can be among the best, and the scan evaluates the penalty-free
+    cells alone.  Every value is the elementwise objective, the same bits
+    in any chunk, and the scanned cells are in ascending order, so the
+    best cells and their index tie order are those of a scan of every
+    cell; the best cell, and so the argmin, carries no penalty.
+    ``grid_evaluations`` reports the grid's cells, evaluated or not.
     """
     boxes = [
         [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
         for *_, band_lo, band_hi in constants
     ]
-    grids = [_grid_axes(bounds, opts.grid_points) for bounds in boxes]
-    sizes = [math.prod(len(axis) for axis in axes) for axes in grids]
-    rows = sum(min(opts.refine_starts, n_cells) for n_cells in sizes)
-    if rows > MAX_POLISH_ROWS:
-        raise ValidationError(
-            f"{opts.refine_starts} refinement starts per problem give {rows} polish rows, "
-            f"above the cap of {MAX_POLISH_ROWS}; use fewer starts"
-        )
     seeds, starts = [], []
-    for own, axes, n_cells in zip(constants, grids, sizes):
-        n_starts = min(opts.refine_starts, n_cells)
+    for own, bounds in zip(constants, boxes):
+        axes = _grid_axes(bounds, GRID_POINTS)
         cells = _penalty_free_cells(axes, own)
-        if len(cells) < max(n_starts, 1):
-            cells = np.arange(n_cells)
         values = _scan_cells(axes, own, cells)
         # Grid enumeration is lexicographic, so breaking ties by index makes
         # the choice of the best cells deterministic.
-        best = _smallest(values, max(n_starts, 1))
+        best = _smallest(values, REFINE_STARTS)
         points = _grid_points_array(axes, cells[best])
-        starts.append(points[:n_starts])
-        seeds.append((points[0], float(values[best[0]]), n_cells, n_starts))
+        starts.append(points)
+        seeds.append((points[0], float(values[best[0]]), math.prod(len(axis) for axis in axes)))
         del values, cells  # one grid at a time
 
-    owners = np.repeat(np.arange(len(boxes)), [seed[3] for seed in seeds])
+    owners = np.repeat(np.arange(len(boxes)), REFINE_STARTS)
     table = np.array(constants).T
     box = np.array(boxes)
     polished, polished_values, polish_iterations = _refine(
@@ -718,13 +667,13 @@ def _box_search(constants, opts):
         owners,
         box[owners, :, 0],
         box[owners, :, 1],
-        opts,
     )
 
-    searches, first = [], 0
-    for best_point, best_value, n_points, n_starts in seeds:
+    searches = []
+    for i, (best_point, best_value, n_points) in enumerate(seeds):
+        first = i * REFINE_STARTS
         trace = [best_value]
-        for row in range(first, first + n_starts):
+        for row in range(first, first + REFINE_STARTS):
             point, value = polished[row], float(polished_values[row])
             if value < best_value or (
                 value == best_value and tuple(point) < tuple(best_point)
@@ -733,15 +682,13 @@ def _box_search(constants, opts):
                 best_point = point
             trace.append(best_value)
         report = {
-            "grid_points_per_axis": opts.grid_points,
-            "grid_evaluations": int(n_points),
-            "restarts": int(n_starts),
-            "iterations": int(polish_iterations[first:first + n_starts].sum()),
+            "grid_points_per_axis": GRID_POINTS,
+            "grid_evaluations": n_points,
+            "restarts": REFINE_STARTS,
+            "iterations": int(polish_iterations[first:first + REFINE_STARTS].sum()),
             "best_objective_trace": [float(v) for v in trace],
-            "seed": int(opts.seed),
         }
         searches.append((best_point, report))
-        first += n_starts
     return searches
 
 
@@ -812,18 +759,16 @@ def constraint_residuals(problem: TwoStepProblem, scenario: TwoStepScenario) -> 
     return res
 
 
-def solve_two_step_many(
-    problems, opts: SolverOptions | None = None
-) -> list[OptimizationResult]:
+def solve_two_step_many(problems) -> list[OptimizationResult]:
     """Worst-case split-processing rates of several problems, in input order.
 
     Each problem's reduced five-variable box is scanned on its own grid;
-    then the refinement starts of all problems are polished together in
-    one lockstep batch, which gives every problem the same bits as
-    solving it alone.  Each minimizer's eliminated variables are
-    reconstructed and it is re-evaluated through the exact scenario
-    calculator, so the reported rate and the reported scenario cannot
-    drift apart.
+    then the refinement starts of up to ``SOLVE_BLOCK`` problems at a time
+    are polished together in one lockstep batch, which gives every problem
+    the same bits as solving it alone and keeps memory flat in the number
+    of problems.  Each minimizer's eliminated variables are reconstructed
+    and it is re-evaluated through the exact scenario calculator, so the
+    reported rate and the reported scenario cannot drift apart.
 
     Every valid problem has penalty-free grid cells, so the search always
     ends on a feasible point.  The check that each minimizer meets every
@@ -831,34 +776,31 @@ def solve_two_step_many(
     a fault in the search, not against an input: the first problem whose
     minimizer fails it raises InfeasibilityError carrying that residual.
     """
-    opts = opts or SolverOptions()
     problems = list(problems)
-    if not problems:
-        return []
-    searches = _box_search([problem.search_constants for problem in problems], opts)
-    scenarios = _reconstruct_scenario(problems, np.array([point for point, _ in searches]))
     results = []
-    for problem, scenario, (_, report) in zip(problems, scenarios, searches):
-        residual = max(constraint_residuals(problem, scenario).values())
-        if residual > 1e-9:
-            raise InfeasibilityError(
-                f"no feasible eavesdropper strategy found for Q={problem.q_target!r}",
-                residual=residual,
+    for first in range(0, len(problems), SOLVE_BLOCK):
+        block = problems[first:first + SOLVE_BLOCK]
+        searches = _box_search([problem.search_constants for problem in block])
+        scenarios = _reconstruct_scenario(block, np.array([point for point, _ in searches]))
+        for problem, scenario, (_, report) in zip(block, scenarios, searches):
+            residual = max(constraint_residuals(problem, scenario).values())
+            if residual > 1e-9:
+                raise InfeasibilityError(
+                    f"no feasible eavesdropper strategy found for Q={problem.q_target!r}",
+                    residual=residual,
+                )
+            min_rate = evaluate_two_step_scenario(scenario, problem.dev, use_worst_phase=True)
+            report["feasibility_residual"] = residual
+            report["one_step_delta"] = one_step_delta(problem.dev)
+            results.append(
+                OptimizationResult(min_rate=min_rate, argmin=scenario, solver_report=report)
             )
-        min_rate = evaluate_two_step_scenario(scenario, problem.dev, use_worst_phase=True)
-        report["feasibility_residual"] = residual
-        report["one_step_delta"] = one_step_delta(problem.dev)
-        results.append(
-            OptimizationResult(min_rate=min_rate, argmin=scenario, solver_report=report)
-        )
     return results
 
 
-def solve_two_step(
-    problem: TwoStepProblem, opts: SolverOptions | None = None
-) -> OptimizationResult:
+def solve_two_step(problem: TwoStepProblem) -> OptimizationResult:
     """Worst-case split-processing rate compatible with the observations.
 
     The one-problem case of :func:`solve_two_step_many`.
     """
-    return solve_two_step_many([problem], opts)[0]
+    return solve_two_step_many([problem])[0]

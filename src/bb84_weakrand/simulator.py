@@ -210,16 +210,14 @@ def _dump_rows(run: dict) -> str:
     return buf.tobytes().decode("ascii")
 
 
-def _derive_rates(qber: float, hv: HiddenVariableModel, seed: int) -> dict | None:
+def _derive_rates(qber: float, hv: HiddenVariableModel) -> dict | None:
     if qber > 0.5:
         return None
-    from .optimizer import SolverOptions, TwoStepProblem, solve_two_step
+    from .optimizer import TwoStepProblem, solve_two_step
 
     dev = hv.deviation()
     one_step = one_step_rate(qber, dev)
-    two_step = solve_two_step(
-        TwoStepProblem(q_target=qber, dev=dev), SolverOptions(seed=seed)
-    )
+    two_step = solve_two_step(TwoStepProblem(q_target=qber, dev=dev))
     return {
         "deviation": {"eps0": dev.eps0, "eps1": dev.eps1},
         "one_step": one_step.to_dict(),
@@ -266,5 +264,5 @@ def simulate(cfg: SimConfig, dump: TextIO | None = None) -> SimReport:
         p_x0_zero_observed=x0_zero / cfg.n_pulses,
         p_x1_zero_observed=x1_zero / cfg.n_pulses,
         eve_agreement=None if cfg.attacker is Attacker.NONE else agreements / n_sifted,
-        derived_rates=_derive_rates(qber, cfg.hv, cfg.seed),
+        derived_rates=_derive_rates(qber, cfg.hv),
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from bb84_weakrand import optimizer
 from bb84_weakrand.optimizer import (
     GRID_CHUNK,
     _grid_axes,
@@ -30,21 +31,24 @@ def grid_points_array(axes: list[np.ndarray]) -> np.ndarray:
     return grid.reshape(-1, len(axes))
 
 
-def box_search(constants, opts):
+def box_search(constants):
     """Grid scan of every problem's box, then one lockstep polish of all their starts.
 
     ``constants`` lists each problem's ``search_constants``; its box is the
     unit cube with the basis band on the ``a0`` axis.  Each box keeps the
-    best cell of its grid and polishes its ``opts.refine_starts`` best
-    cells.  Returns one ``(point, report)`` per problem, in order.
+    best cell of its grid and polishes its ``optimizer.REFINE_STARTS`` best
+    cells.  Returns one ``(point, report)`` per problem, in order.  The
+    settings are read from :mod:`bb84_weakrand.optimizer` at call time, so
+    a test that patches them there patches them here too.
     """
+    grid_points, n_starts = optimizer.GRID_POINTS, optimizer.REFINE_STARTS
     boxes = [
         [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
         for *_, band_lo, band_hi in constants
     ]
     seeds, starts = [], []
     for own, bounds in zip(constants, boxes):
-        points = grid_points_array(_grid_axes(bounds, opts.grid_points))
+        points = grid_points_array(_grid_axes(bounds, grid_points))
         values = np.concatenate(
             [
                 _reduced_objective_vec(points[j:j + GRID_CHUNK], own)
@@ -53,13 +57,12 @@ def box_search(constants, opts):
         )
         # Grid enumeration is lexicographic, so breaking ties by index makes
         # the choice of the best cells deterministic.
-        n_starts = min(opts.refine_starts, len(points))
-        order = _smallest(values, max(n_starts, 1))
-        starts.append(points[order[:n_starts]])
-        seeds.append((points[order[0]].copy(), float(values[order[0]]), len(points), n_starts))
+        order = _smallest(values, n_starts)
+        starts.append(points[order])
+        seeds.append((points[order[0]].copy(), float(values[order[0]]), len(points)))
         del points, values  # one grid at a time
 
-    owners = np.repeat(np.arange(len(boxes)), [seed[3] for seed in seeds])
+    owners = np.repeat(np.arange(len(boxes)), n_starts)
     table = np.array(constants).T
     box = np.array(boxes)
     polished, polished_values, polish_iterations = _refine(
@@ -68,11 +71,10 @@ def box_search(constants, opts):
         owners,
         box[owners, :, 0],
         box[owners, :, 1],
-        opts,
     )
 
     searches, first = [], 0
-    for best_point, best_value, n_points, n_starts in seeds:
+    for best_point, best_value, n_points in seeds:
         trace = [best_value]
         for row in range(first, first + n_starts):
             point, value = polished[row], float(polished_values[row])
@@ -83,12 +85,11 @@ def box_search(constants, opts):
                 best_point = point
             trace.append(best_value)
         report = {
-            "grid_points_per_axis": opts.grid_points,
-            "grid_evaluations": int(n_points),
-            "restarts": int(n_starts),
+            "grid_points_per_axis": grid_points,
+            "grid_evaluations": n_points,
+            "restarts": n_starts,
             "iterations": int(polish_iterations[first:first + n_starts].sum()),
             "best_objective_trace": [float(v) for v in trace],
-            "seed": int(opts.seed),
         }
         searches.append((best_point, report))
         first += n_starts

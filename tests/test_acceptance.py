@@ -19,7 +19,6 @@ from bb84_weakrand.keyrate import (
     one_step_rate,
 )
 from bb84_weakrand.optimizer import (
-    SolverOptions,
     TwoStepProblem,
     constraint_residuals,
     solve_two_step,
@@ -313,9 +312,8 @@ def test_criterion_8_property_suites():
 
     # Optimizer determinism and feasibility of the reported minimizer.
     problem = TwoStepProblem(q_target=0.03, dev=DeviationParams(0.05, 0.1))
-    opts = SolverOptions(grid_points=7, refine_starts=6)
-    first = solve_two_step(problem, opts)
-    second = solve_two_step(problem, opts)
+    first = solve_two_step(problem)
+    second = solve_two_step(problem)
     if canonical_json(first.to_dict()) != canonical_json(second.to_dict()):
         failures.append("optimizer determinism")
     if max(constraint_residuals(problem, first.argmin).values()) > 1e-9:

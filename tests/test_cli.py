@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bb84_weakrand import cli
+from bb84_weakrand import cli, optimizer
 from bb84_weakrand.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -65,25 +65,27 @@ class TestRateCommand:
         assert f"f_ec={float(f_ec)!r}" in captured.err
 
     def test_two_step_runs_with_seed(self):
+        """--seed stays accepted; the manifest records it and the search ignores it."""
         proc = run_cli(
             "rate", "--method", "two-step", "--qber", "0.02", "--eps0", "0",
-            "--eps1", "0.1", "--seed", "1", "--grid", "5", "--starts", "3",
-            "--maxiter", "120",
+            "--eps1", "0.1", "--seed", "1",
         )
         assert proc.returncode == EXIT_OK
         doc = json.loads(proc.stdout)
+        assert doc["manifest"]["seed"] == 1
         assert "rate" in doc["result"]["min_rate"]
-        assert doc["result"]["solver_report"]["restarts"] == 3
+        assert doc["result"]["solver_report"]["restarts"] == optimizer.REFINE_STARTS
+        assert "seed" not in doc["result"]["solver_report"]
 
-    @pytest.mark.parametrize("block", [1, 7, cli.SOLVE_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, optimizer.SOLVE_BLOCK])
     def test_two_step_points_solved_in_blocks(self, block, tmp_path, monkeypatch):
         """The benchmark's curves sweep gives the same bytes for any block size.
 
         With one problem per block every point is solved alone, as
         ``solve_two_step`` does; 36 points in 7s end on a partial block.
         """
-        assert cli.SOLVE_BLOCK >= 36
-        monkeypatch.setattr(cli, "SOLVE_BLOCK", block)
+        assert optimizer.SOLVE_BLOCK >= 36
+        monkeypatch.setattr(optimizer, "SOLVE_BLOCK", block)
         out = tmp_path / "curves.csv"
         args = ["sweep", "--qber", "0:0.12:0.01", "--dev", "0,0", "--dev", "0,0.1",
                 "--dev", "0.1,0.1", "--method", "one-step", "--method", "two-step",
@@ -92,17 +94,19 @@ class TestRateCommand:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == CURVES_SHA256
 
-    def test_two_step_requires_seed(self):
-        proc = run_cli("rate", "--method", "two-step", "--qber", "0.02")
-        assert proc.returncode == EXIT_VALIDATION
-        assert "--seed" in proc.stderr
+    def test_two_step_runs_without_seed(self, capsys):
+        """The search draws nothing random, so it needs no seed."""
+        assert main(["rate", "--method", "two-step", "--qber", "0.02", "--eps1", "0.1"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["manifest"]["seed"] is None
+        assert round(doc["result"]["min_rate"]["rate"], 4) == 0.6642
 
     def test_two_step_does_not_import_scipy(self):
         code = (
             "import sys\n"
             "from bb84_weakrand.cli import main\n"
             "argv = ['rate', '--method', 'two-step', '--qber', '0.02', '--eps1', '0.1',\n"
-            "        '--seed', '1', '--grid', '5', '--starts', '2', '--out', '-']\n"
+            "        '--out', '-']\n"
             "assert main(argv) == 0\n"
             "assert 'scipy' not in sys.modules\n"
         )
@@ -111,54 +115,37 @@ class TestRateCommand:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_oversized_grid_exits_validation(self, capsys, monkeypatch):
-        from bb84_weakrand import optimizer
-
-        def unreachable(_axes):
-            raise AssertionError("grid built despite the cap")
-
-        monkeypatch.setattr(optimizer, "_grid_points_array", unreachable)
-        rate = ["rate", "--method", "two-step", "--qber", "0.02", "--eps1", "0.1"]
-        sweep = ["sweep", "--qber", "0:0.02:0.01", "--dev", "0,0.1", "--method", "two-step"]
-        for argv in (rate, sweep):
-            assert main([*argv, "--seed", "1", "--grid", "40"]) == EXIT_VALIDATION
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "102400000 cells, above the cap of 76695844" in captured.err
-
-    def test_too_many_polish_starts_exit_validation(self, capsys, monkeypatch):
-        from bb84_weakrand import optimizer
-
-        def unreachable(*_args):
-            raise AssertionError("grid scanned despite the cap")
-
-        for scan in ("_penalty_free_cells", "_scan_cells"):
-            monkeypatch.setattr(optimizer, scan, unreachable)
-        rate = ["rate", "--method", "two-step", "--qber", "0.05", "--eps1", "0.1",
-                "--grid", "20", "--starts", "3200000"]
-        sweep = ["sweep", "--qber", "0:0.02:0.01", "--dev", "0,0.1", "--method", "two-step",
-                 "--grid", "15", "--starts", "1000000"]
-        for argv, rows in ((rate, 3200000), (sweep, 2 * 15**5)):
-            assert main([*argv, "--seed", "1"]) == EXIT_VALIDATION
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert f"give {rows} polish rows, above the cap of 883011" in captured.err
+    @pytest.mark.parametrize("flag", ["--grid", "--starts", "--maxiter"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--method", "two-step", "--qber", "0.02"],
+            ["rate", "--method", "one-step", "--qber", "0.02"],
+            ["sweep", "--qber", "0:0.02:0.01", "--dev", "0,0.1", "--method", "two-step"],
+        ],
+        ids=["rate-two-step", "rate-one-step", "sweep"],
+    )
+    def test_removed_solver_flags_exit_validation(self, argv, flag, capsys):
+        """The search runs at fixed settings: its old flags are usage errors."""
+        with pytest.raises(SystemExit) as info:
+            main([*argv, flag, "5"])
+        assert info.value.code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 5" in captured.err
 
     def test_infeasible_argmin_exits_infeasible(self, capsys, monkeypatch):
         """The solver's feasibility guard ends a run with exit 3 and the residual."""
-        from bb84_weakrand import optimizer
-
         search = optimizer._box_search
         # p_lambda1 = 0 and e_b10 = 1 rebuild to a QBER of 1/2, not the 0.02 observed.
         monkeypatch.setattr(
             optimizer,
             "_box_search",
-            lambda constants, opts: [
-                ([0.0, 0.5, 1.0, 1.0, 1.0], report) for _, report in search(constants, opts)
+            lambda constants: [
+                ([0.0, 0.5, 1.0, 1.0, 1.0], report) for _, report in search(constants)
             ],
         )
-        argv = ["rate", "--method", "two-step", "--qber", "0.02", "--eps1", "0.1", "--seed", "1",
-                "--grid", "3", "--starts", "1"]
+        argv = ["rate", "--method", "two-step", "--qber", "0.02", "--eps1", "0.1"]
         assert main(argv) == EXIT_INFEASIBLE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -179,8 +166,7 @@ class TestRateCommand:
     def test_sweep_prints_a_clamped_deviation(self, tmp_path):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--qber", "0:0.01:0.01", "--dev=0,-1e-13", "--method", "two-step",
-                "--seed", "1", "--grid", "5", "--starts", "2", "--format", "csv",
-                "--out", str(out)]
+                "--format", "csv", "--out", str(out)]
         assert main(argv) == EXIT_OK
         assert out.read_text().splitlines()[1].startswith("0.0,0.0,0.0,two-step,")
 
@@ -242,11 +228,13 @@ class TestSweepCommand:
         assert len(doc["result"]) == 2 * 2
         assert doc["result"][0]["method"] == "one-step"
 
-    def test_two_step_requires_seed(self):
-        proc = run_cli(
-            "sweep", "--qber", "0:0.02:0.01", "--dev", "0,0", "--method", "two-step"
-        )
-        assert proc.returncode == EXIT_VALIDATION
+    def test_two_step_runs_without_seed(self, capsys):
+        argv = ["sweep", "--qber", "0:0.02:0.01", "--dev", "0,0", "--method", "two-step",
+                "--format", "json"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["manifest"]["seed"] is None
+        assert len(doc["result"]) == 2
 
     def test_bad_range_rejected(self):
         for bad in ("0:0.6:0.01", "0.1:0.05:0.01", "0:0.1:0", "nope"):
@@ -381,6 +369,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "'eve'" in err and "intercept-resend-with-hints" in err
 
+    @pytest.mark.parametrize(
+        "name, reason", [("missing.cfg", "No such file or directory"), (".", "Is a directory")]
+    )
+    def test_unreadable_config_exits_validation(self, name, reason, tmp_path, capsys):
+        """A config is input: one that cannot be read exits 2, not the output failure 4."""
+        path = tmp_path / name
+        assert main(["simulate", "--config", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: cannot read ({reason})\n"
+
     def test_config_file_not_utf8_exits_validation(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"\xff\xfe\n")
@@ -465,7 +464,7 @@ class TestOutputHandling:
 
 # One cheap invocation of each subcommand that takes --seed.
 SEED_ARGV = {
-    "rate": ["rate", "--method", "two-step", "--qber", "0.02", "--grid", "2", "--starts", "1"],
+    "rate": ["rate", "--method", "two-step", "--qber", "0.02"],
     "sweep": ["sweep", "--qber", "0:0.02:0.01", "--dev", "0,0.1", "--method", "two-step"],
     "verify": ["verify", "--target", "cross-basis", "--eps0", "0.1", "--grid", "3"],
     "simulate": ["simulate", "--pulses", "10"],
