@@ -6,7 +6,7 @@ found: the adversary concentrates errors where they feed the conjugate
 basis's privacy-amplification cost more than the observed QBER.
 """
 
-from bb84_weakrand import DeviationParams, one_step_rate
+from bb84_weakrand import DeviationParams, one_step_rate, two_step_rate
 from bb84_weakrand.optimizer import TwoStepProblem, solve_two_step
 
 Q = 0.02
@@ -23,6 +23,7 @@ def main():
     print()
     print(f"single-pass rate : {one_step_rate(Q, DEV).rate:.6f}")
     print(f"split-pass rate  : {result.min_rate.rate:.6f}  (worst case)")
+    print(f"closed form      : {two_step_rate(Q, DEV).rate:.6f}")
     print()
     print("adversarial scenario found:")
     hv = scenario.hv

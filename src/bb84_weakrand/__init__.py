@@ -1,10 +1,11 @@
 """BB84 key rates, bound verification and simulation under leaky randomness.
 
 The library splits into five parts: exact two-qubit algebra
-(:mod:`.quantum_core`), closed-form rate calculators (:mod:`.keyrate`),
-the worst-case scenario optimizer (:mod:`.optimizer`), brute-force
-verification of the error-gap bounds (:mod:`.bound_oracle`) and a
-pulse-level Monte-Carlo simulator (:mod:`.simulator`).  The command-line
+(:mod:`.quantum_core`), closed-form rate calculators, the two-step worst
+case included (:mod:`.keyrate`), the worst-case scenario search
+(:mod:`.optimizer`), brute-force verification of the error-gap bounds
+(:mod:`.bound_oracle`) and a pulse-level Monte-Carlo simulator
+(:mod:`.simulator`).  The command-line
 front end lives in :mod:`.cli`.
 """
 
@@ -22,6 +23,8 @@ from .keyrate import (
     one_step_rate,
     phase_gap_bound,
     strong_randomness_rate,
+    two_step_rate,
+    two_step_worst_scenario,
     worst_case_phase_error,
 )
 from .quantum_core import (
@@ -62,5 +65,7 @@ __all__ = [
     "one_step_rate",
     "phase_gap_bound",
     "strong_randomness_rate",
+    "two_step_rate",
+    "two_step_worst_scenario",
     "worst_case_phase_error",
 ]

@@ -21,6 +21,7 @@ from .keyrate import (
     StrongRandomnessInputs,
     one_step_rate,
     strong_randomness_rate,
+    two_step_rate,
 )
 from .output import MAX_SEED, RunManifest, canonical_json, csv_text, flatten
 
@@ -33,6 +34,9 @@ EXIT_IO = 4
 # peak RSS over 2e4 to 1.6e5 one-step rows.  The cap keeps a sweep in budget.
 SWEEP_BYTES_PER_ROW = 1400
 MAX_SWEEP_ROWS = MEMORY_BUDGET // SWEEP_BYTES_PER_ROW
+# A config is a few short lines.  Reading stops one byte past this, so a
+# longer file, /dev/zero included, is rejected without being read in full.
+MAX_CONFIG_BYTES = 1 << 20
 
 _SIM_DEFAULTS = {
     "q00": 1.0,
@@ -200,26 +204,13 @@ def _cmd_sweep(args) -> tuple[dict, object, int, list[str], list[list]]:
     methods = list(args.method)
     qbers = _parse_qber_range(args.qber, len(devs) * len(methods))
 
+    rate_of = {"one-step": one_step_rate, "two-step": two_step_rate}
     rows = []
     for qber in qbers:
         for dev in devs:
             for method in methods:
-                row = [qber, dev.eps0, dev.eps1, method, None, None]
-                if method == "one-step":
-                    res = one_step_rate(qber, dev)
-                    row[4:] = [res.rate, res.rate_clamped]
-                rows.append(row)
-
-    if "two-step" in methods:
-        from .optimizer import TwoStepProblem, solve_two_step_many
-
-        pending = [row for row in rows if row[3] == "two-step"]
-        problems = [
-            TwoStepProblem(q_target=row[0], dev=DeviationParams(row[1], row[2]))
-            for row in pending
-        ]
-        for row, result in zip(pending, solve_two_step_many(problems)):
-            row[4:] = [result.min_rate.rate, result.min_rate.rate_clamped]
+                res = rate_of[method](qber, dev)
+                rows.append([qber, dev.eps0, dev.eps1, method, res.rate, res.rate_clamped])
 
     header = ["qber", "eps0", "eps1", "method", "rate", "rate_clamped"]
     result = [dict(zip(header, row)) for row in rows]
@@ -248,12 +239,18 @@ def _load_config_file(path: str) -> dict[str, str]:
     # A config is input: a file that cannot be read is a validation failure
     # (exit 2), not an output I/O failure (exit 4).
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ValidationError(f"{path}: longer than {MAX_CONFIG_BYTES} bytes, not a config file")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    # The newlines a text-mode read would translate: \r\n, \r and \n.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

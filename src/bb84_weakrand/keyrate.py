@@ -1,11 +1,12 @@
 """Closed-form BB84 secret-key rates under bounded randomness leakage.
 
-Three calculators live here: the discounted rate for events an
+Four calculators live here: the discounted rate for events an
 eavesdropper fully controls, the single-pass rate where one error
-correction and privacy amplification round covers both bases, and the
+correction and privacy amplification round covers both bases, the
 deterministic evaluation of a split (per-basis) post-processing
-scenario.  The worst-case search over split scenarios is in
-:mod:`bb84_weakrand.optimizer`.
+scenario, and the split rate's worst case over scenarios in closed form
+with a scenario that attains it.  The numerical search over split
+scenarios is in :mod:`bb84_weakrand.optimizer`.
 """
 
 from __future__ import annotations
@@ -359,3 +360,73 @@ def evaluate_two_step_scenario(
         "h_diapha": h_diapha,
     }
     return KeyRateResult(rate=rate, diagnostics=diagnostics)
+
+
+def two_step_rate(q: float, dev: DeviationParams) -> KeyRateResult:
+    """Worst-case split-processing rate 1 - h(q) - h(min(1/2, q r + delta)).
+
+    The exact minimum over eavesdropper scenarios at basis balance 1/2,
+    ``r = (1/2 + eps1) / (1/2 - eps1)`` and ``delta = phase_gap_bound(eps0)``;
+    :func:`two_step_worst_scenario` attains it.  The proof is in
+    ``docs/two_step_closed_form.md``.
+    """
+    q = check_prob("sifted QBER q", q, 0.5)
+    delta = phase_gap_bound(dev.eps0)
+    eps1 = dev.eps1
+    # At eps1 = 1/2 (r infinite) a hidden value can carry no weight in one
+    # basis; its unobserved bit errors there put the phase error at 1/2,
+    # q = 0 included, where q * r would be nan.
+    cross = 0.5 if eps1 == 0.5 else q * (0.5 + eps1) / (0.5 - eps1)
+    e_phase = min(0.5, cross + delta)
+    rate = 1.0 - binary_entropy(q) - binary_entropy(e_phase)
+    return KeyRateResult(
+        rate=rate,
+        diagnostics={"delta0": delta, "e_phase_worst": e_phase, "e_bit": q},
+    )
+
+
+def two_step_worst_scenario(q: float, dev: DeviationParams) -> TwoStepScenario:
+    """A feasible scenario whose worst-phase rate is :func:`two_step_rate`'s.
+
+    Both hidden values weigh 1/2 and choose the rectilinear basis with
+    probabilities ``1/2 - eps1`` and ``1/2 + eps1``; ``e_b00 = e_b11 = t``
+    and ``e_b01 = e_b10 = u``.  While ``q r <= 1/2``, ``t = q / (1/2 - eps1)``
+    and ``u = 0``, so each basis's cross-basis bit error average is ``q r``;
+    past that, ``t`` and ``u`` set it to 1/2.  Each phase error sits at
+    the same fraction of its band around its cross-basis bit error, the
+    fraction that puts the basis's phase error nearest 1/2.
+    """
+    q = check_prob("sifted QBER q", q, 0.5)
+    eps0, eps1 = dev.eps0, dev.eps1
+    low, high = 0.5 - eps1, 0.5 + eps1
+    if eps1 < 0.5 and q * high <= 0.5 * low:  # q r <= 1/2
+        t, u = q / low, 0.0
+    else:
+        t = (0.5 * high - q * low) / (2.0 * eps1)
+        u = (q * high - 0.5 * low) / (2.0 * eps1)
+    gap = phase_gap_bound(eps0)
+    # Each basis weighs its hidden values by (low, high), with cross-basis
+    # bit errors (u, t): e_p00 and e_p11 band around u, e_p01 and e_p10 around t.
+    bands = [(max(0.0, c - gap), min(1.0, c + gap)) for c in (u, t)]
+    lo = low * bands[0][0] + high * bands[1][0]
+    hi = low * bands[0][1] + high * bands[1][1]
+    worst = min(max(0.5, lo), hi)
+    fraction = (worst - lo) / (hi - lo) if hi > lo else 0.0
+    phase_u, phase_t = (a + fraction * (b - a) for a, b in bands)
+    hv = HiddenVariableModel(
+        p_lambda0=0.5,
+        p_lambda1=0.5,
+        p_x0_given_l0=(0.5 + eps0, 0.5 - eps0),
+        p_x1_given_l1=(low, high),
+    )
+    return TwoStepScenario(
+        hv=hv,
+        e_b00=t,
+        e_b01=u,
+        e_b10=u,
+        e_b11=t,
+        e_p00=phase_u,
+        e_p01=phase_t,
+        e_p10=phase_t,
+        e_p11=phase_u,
+    )

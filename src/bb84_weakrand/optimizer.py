@@ -14,9 +14,14 @@ random, so it needs no seed.
 The refinement is an in-package bounded Nelder-Mead that repeats the
 steps of ``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)``
 (scipy 1.17) operation for operation, so it returns the same bits
-without depending on scipy.  It polishes every start of up to
-``SOLVE_BLOCK`` problems in one lockstep batch over numpy arrays:
-:func:`solve_two_step_many` solves a whole sweep's problems that way.
+without depending on scipy.  It polishes a problem's starts in one
+lockstep batch over numpy arrays.
+
+The exact minimum has a closed form, :func:`keyrate.two_step_rate`,
+which sweeps use directly.  :func:`solve_two_step` still runs the search,
+because its argmin fixes the derived diagnostics of ``simulate``, and
+returns the closed form's attaining scenario instead wherever the
+search's minimum lies more than ``CLOSED_FORM_MARGIN`` above it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .keyrate import (
     evaluate_two_step_scenario,
     one_step_delta,
     phase_gap_bound,
+    two_step_worst_scenario,
 )
 from .quantum_core import binary_entropy
 
@@ -48,11 +54,11 @@ DEGENERATE_AXIS_TOL = 1e-15
 GRID_POINTS = 9
 REFINE_STARTS = 10
 MAX_ITERATIONS = 500
-# Problems polished together in one lockstep batch.  On a 144-point sweep,
-# blocks of 36, 72 and 144 were equally fast and 12 was slower; a block's
-# arrays are small next to one grid scan, so memory stays flat in the
-# number of problems.
-SOLVE_BLOCK = 36
+# How far the search's minimum may lie above the closed form's attaining
+# scenario before that scenario is returned instead.  Rounding puts some
+# searches a few ULPs above it (1.4e-15 on the `simulate` golden), and
+# swapping there would only move digits.
+CLOSED_FORM_MARGIN = 1e-12
 # The polish's stop test: scipy's Nelder-Mead ``fatol`` and ``xatol``.
 OBJECTIVE_TOL = 1e-6
 VARIABLE_TOL = 1e-8
@@ -161,14 +167,14 @@ def _feasibility(p, a0, e00, e01, e10, constants):
     The search's one feasibility step.  The arguments broadcast together:
     rows of points, or grid axes each on its own dimension.  ``a1`` comes
     from the basis balance of 1/2 and ``e11`` from the observed QBER; both
-    are clamped to their bounds.  ``constants`` is a problem's
-    ``search_constants``, or four arrays that give each row its own
-    problem's.  Returns ``(a1, (w00, w01, w10, w11), e11, penalty)``: the
-    clamped values, the weight ``w_hs`` of hidden value ``h`` on side
-    ``s`` (side 0 the rectilinear basis), and the distance to feasibility,
-    0 exactly at a feasible point: the unclamped variables' distances to
-    their bounds, plus abs(numerator) where a weight vanishes.  The bits
-    are :func:`_reduced_objective_scalar`'s, as for :func:`_elimination`.
+    are clamped to their bounds.  ``constants`` is the problem's
+    ``search_constants``.  Returns ``(a1, (w00, w01, w10, w11), e11,
+    penalty)``: the clamped values, the weight ``w_hs`` of hidden value
+    ``h`` on side ``s`` (side 0 the rectilinear basis), and the distance
+    to feasibility, 0 exactly at a feasible point: the unclamped
+    variables' distances to their bounds, plus abs(numerator) where a
+    weight vanishes.  The bits are :func:`_reduced_objective_scalar`'s,
+    as for :func:`_elimination`.
     """
     q, _, band_lo, band_hi = constants
     one_minus_p = 1.0 - p
@@ -399,19 +405,18 @@ _REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _SHRINK = range(5)
 
 
 class _Simplices:
-    """Nelder-Mead simplices, one per start, over the same free axes.
+    """Nelder-Mead simplices, one per start, over the box's free axes.
 
-    ``sim[v, r]`` is vertex ``v`` of row ``r`` over its free axes, best
+    ``sim[v, r]`` is vertex ``v`` of row ``r`` over the free axes, best
     first, and ``fsim[v, r]`` its objective value.
     """
 
-    def __init__(self, rows, free, starts, labels, lower, upper):
+    def __init__(self, starts, free, lower, upper):
         self.free = free
-        self.base = starts[rows]
-        self.labels = labels[rows]
-        self.lower = lower[rows][:, free]
-        self.upper = upper[rows][:, free]
-        self._set_rows(rows)
+        self.base = starts
+        self.lower = lower[free]
+        self.upper = upper[free]
+        self._set_rows(np.arange(len(starts)))
         n = len(free)
         # ndarray.clip is np.clip, whose rule scipy's bounds follow: the
         # bound wins a tie, so a zero bound turns -0.0 into 0.0.
@@ -426,14 +431,12 @@ class _Simplices:
 
     def _set_rows(self, rows):
         self.rows = rows
-        self.trial_labels = np.tile(self.labels, len(_MOVE_A))
         self.index = np.arange(len(rows))
         # The trial points as full points; each step refills the free axes.
         self.trials_full = np.repeat(self.base[None], len(_MOVE_A), axis=0)
 
     def keep(self, mask):
-        for name in ("base", "labels", "lower", "upper"):
-            setattr(self, name, getattr(self, name)[mask])
+        self.base = self.base[mask]
         self.sim = self.sim[:, mask]
         self.fsim = self.fsim[:, mask]
         self._set_rows(self.rows[mask])
@@ -507,9 +510,7 @@ class _Simplices:
         if shrink.any():
             shrink = np.flatnonzero(shrink)
             best = sim[0, shrink]
-            shrunk = (best + 0.5 * (sim[1:, shrink] - best)).clip(
-                self.lower[shrink], self.upper[shrink]
-            )
+            shrunk = (best + 0.5 * (sim[1:, shrink] - best)).clip(self.lower, self.upper)
             move[shrink] = _REFLECT  # overwritten by set_shrunk
         sim[-1] = trials[move, self.index]
         fsim[-1] = values[move, self.index]
@@ -520,111 +521,71 @@ class _Simplices:
         self.fsim[1:, shrink] = values
 
 
-def _refine(objective, starts, labels, lower, upper):
-    """Nelder-Mead polish of many starts at once, degenerate axes held fixed.
+def _refine(objective, starts, lower, upper):
+    """Nelder-Mead polish of many starts in one box, degenerate axes held fixed.
 
-    Each row of ``starts`` (a full point with its own ``lower`` and
-    ``upper`` bounds and at least one free axis, as the two-step box's
-    p_lambda1 axis always is) follows ``scipy.optimize.minimize(method=
-    "Nelder-Mead", bounds=...)`` of scipy 1.17 over its free axes, with
+    Each row of ``starts`` (a full point inside the box ``lower``..``upper``,
+    which has at least one free axis, as the two-step box's p_lambda1 axis
+    always is) follows ``scipy.optimize.minimize(method="Nelder-Mead",
+    bounds=...)`` of scipy 1.17 over the free axes, with
     ``MAX_ITERATIONS``, ``OBJECTIVE_TOL`` and ``VARIABLE_TOL`` as
     ``maxiter``, ``fatol`` and ``xatol``.  Every IEEE step, clip and tie
     rule is scipy's, so each row ends on scipy's bits and iteration count.
 
     The rows run in lockstep.  Each step evaluates the reflection,
     expansion and both contractions of every active row in one call
-    ``objective(points, labels)``, which gets full points and, for each,
-    the entry of ``labels`` for the row it belongs to; it must be pure, so
-    that the evaluations scipy would skip change nothing.  Shrunk vertices go in a second call, only
-    when some row shrinks.  A row leaves the batch when it meets scipy's
-    stop test or reaches ``MAX_ITERATIONS``.  Returns ``(points,
-    values, iterations)``, one entry per row.
+    ``objective(points)`` on full points; it must be pure, so that the
+    evaluations scipy would skip change nothing.  Shrunk vertices go in a
+    second call, only when some row shrinks.  A row leaves the batch when
+    it meets scipy's stop test or reaches ``MAX_ITERATIONS``.  Returns
+    ``(points, values, iterations)``, one entry per row.
     """
     n_rows, dim = starts.shape
     points = starts.copy()
     values = np.empty(n_rows)
     iterations = np.zeros(n_rows, dtype=int)
 
-    def evaluate(parts):
-        """One objective call for several ``(points, labels)`` pairs."""
-        # Without this path the derived solves of the `pulses` and
-        # `transcript` benchmark workloads ran 3 % and 14 % slower.
-        if len(parts) == 1:
-            x, tags = parts[0]
-            return [objective(x.reshape(-1, dim), tags.ravel()).reshape(x.shape[:-1])]
-        out = objective(
-            np.concatenate([x.reshape(-1, dim) for x, _ in parts]),
-            np.concatenate([tags.ravel() for _, tags in parts]),
-        )
-        ends = np.cumsum([tags.size for _, tags in parts])
-        return [v.reshape(x.shape[:-1]) for v, (x, _) in zip(np.split(out, ends[:-1]), parts)]
+    def evaluate(x):
+        return objective(x.reshape(-1, dim)).reshape(x.shape[:-1])
 
-    def finish(group, done, count):
-        rows = group.rows[done]
-        points[rows] = group.points(group.sim[0, done], group.base[done])
-        values[rows] = group.fsim[0, done]
+    def finish(done, count):
+        rows = simplices.rows[done]
+        points[rows] = simplices.points(simplices.sim[0, done], simplices.base[done])
+        values[rows] = simplices.fsim[0, done]
         iterations[rows] = count
 
-    by_axes = {}
-    for row, mask in enumerate(((upper - lower) > DEGENERATE_AXIS_TOL).tolist()):
-        by_axes.setdefault(tuple(mask), []).append(row)
-    groups = [
-        _Simplices(np.array(rows), np.flatnonzero(mask), starts, labels, lower, upper)
-        for mask, rows in by_axes.items()
-    ]
-
-    initial = evaluate(
-        [(g.points(g.sim, g.base), np.broadcast_to(g.labels, g.sim.shape[:2])) for g in groups]
-    )
-    for group, fsim in zip(groups, initial):
-        group.fsim = fsim
-        group.sort()  # scipy sorts the initial simplex twice
-        group.sort()
+    free = np.flatnonzero(upper - lower > DEGENERATE_AXIS_TOL)
+    simplices = _Simplices(starts, free, lower, upper)
+    simplices.fsim = evaluate(simplices.points(simplices.sim, simplices.base))
+    simplices.sort()  # scipy sorts the initial simplex twice
+    simplices.sort()
 
     count = 1
-    while count < MAX_ITERATIONS and groups:
-        finished = False
-        for group in groups:
-            done = group.converged(VARIABLE_TOL, OBJECTIVE_TOL)
-            if done is not None:
-                finish(group, done, count)
-                group.keep(~done)
-                finished = True
-        if finished:
-            groups = [group for group in groups if len(group.rows)]
-            if not groups:
+    while count < MAX_ITERATIONS:
+        done = simplices.converged(VARIABLE_TOL, OBJECTIVE_TOL)
+        if done is not None:
+            finish(done, count)
+            simplices.keep(~done)
+            if not len(simplices.rows):
                 break
-        trials = [group.trial_points() for group in groups]
-        trial_values = evaluate([(full, g.trial_labels) for g, (_, full) in zip(groups, trials)])
-        shrinking = []
-        for group, (t, _), v in zip(groups, trials, trial_values):
-            shrink, shrunk = group.replace_worst(t, v)
-            if shrunk is not None:
-                shrinking.append((group, shrink, shrunk))
-        if shrinking:
-            shrunk_values = evaluate(
-                [
-                    (g.points(x, g.base[s]), np.broadcast_to(g.labels[s], x.shape[:2]))
-                    for g, s, x in shrinking
-                ]
-            )
-            for (group, shrink, shrunk), v in zip(shrinking, shrunk_values):
-                group.set_shrunk(shrink, shrunk, v)
-        for group in groups:
-            group.sort()
+        trials, full = simplices.trial_points()
+        shrink, shrunk = simplices.replace_worst(trials, evaluate(full))
+        if shrunk is not None:
+            shrunk_values = evaluate(simplices.points(shrunk, simplices.base[shrink]))
+            simplices.set_shrunk(shrink, shrunk, shrunk_values)
+        simplices.sort()
         count += 1
-    for group in groups:
-        finish(group, group.index >= 0, count)
+    finish(simplices.index >= 0, count)
     return points, values, iterations
 
 
 def _box_search(constants):
-    """Grid scan of every problem's box, then one lockstep polish of all their starts.
+    """Grid scan of one problem's box, then a lockstep polish of its best cells.
 
-    ``constants`` lists each problem's ``search_constants``; its box is the
-    unit cube with the basis band on the ``a0`` axis.  Each box keeps the
-    best cell of its grid and polishes its ``REFINE_STARTS`` best cells.
-    Returns one ``(point, report)`` per problem, in order.
+    ``constants`` is the problem's ``search_constants``; its box is the
+    unit cube with the basis band on the ``a0`` axis.  The search keeps the
+    best cell of the grid and polishes its ``REFINE_STARTS`` best cells.
+    Returns ``(point, report)``.
 
     The scan evaluates the objective only where it can matter.  A
     pre-pass, :func:`_penalty_free_cells`, runs the objective's own
@@ -641,59 +602,39 @@ def _box_search(constants):
     cell; the best cell, and so the argmin, carries no penalty.
     ``grid_evaluations`` reports the grid's cells, evaluated or not.
     """
-    boxes = [
-        [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
-        for *_, band_lo, band_hi in constants
-    ]
-    seeds, starts = [], []
-    for own, bounds in zip(constants, boxes):
-        axes = _grid_axes(bounds, GRID_POINTS)
-        cells = _penalty_free_cells(axes, own)
-        values = _scan_cells(axes, own, cells)
-        # Grid enumeration is lexicographic, so breaking ties by index makes
-        # the choice of the best cells deterministic.
-        best = _smallest(values, REFINE_STARTS)
-        points = _grid_points_array(axes, cells[best])
-        starts.append(points)
-        seeds.append((points[0], float(values[best[0]]), math.prod(len(axis) for axis in axes)))
-        del values, cells  # one grid at a time
+    *_, band_lo, band_hi = constants
+    bounds = [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+    axes = _grid_axes(bounds, GRID_POINTS)
+    cells = _penalty_free_cells(axes, constants)
+    values = _scan_cells(axes, constants, cells)
+    # Grid enumeration is lexicographic, so breaking ties by index makes
+    # the choice of the best cells deterministic.
+    best = _smallest(values, REFINE_STARTS)
+    starts = _grid_points_array(axes, cells[best])
+    best_point, best_value = starts[0], float(values[best[0]])
 
-    owners = np.repeat(np.arange(len(boxes)), REFINE_STARTS)
-    table = np.array(constants).T
-    box = np.array(boxes)
-    polished, polished_values, polish_iterations = _refine(
-        lambda points, labels: _reduced_objective_vec(points, table[:, labels]),
-        np.concatenate(starts),
-        owners,
-        box[owners, :, 0],
-        box[owners, :, 1],
+    lower, upper = np.array(bounds).T
+    polished, polished_values, iterations = _refine(
+        lambda points: _reduced_objective_vec(points, constants), starts, lower, upper
     )
-
-    searches = []
-    for i, (best_point, best_value, n_points) in enumerate(seeds):
-        first = i * REFINE_STARTS
-        trace = [best_value]
-        for row in range(first, first + REFINE_STARTS):
-            point, value = polished[row], float(polished_values[row])
-            if value < best_value or (
-                value == best_value and tuple(point) < tuple(best_point)
-            ):
-                best_value = value
-                best_point = point
-            trace.append(best_value)
-        report = {
-            "grid_points_per_axis": GRID_POINTS,
-            "grid_evaluations": n_points,
-            "restarts": REFINE_STARTS,
-            "iterations": int(polish_iterations[first:first + REFINE_STARTS].sum()),
-            "best_objective_trace": [float(v) for v in trace],
-        }
-        searches.append((best_point, report))
-    return searches
+    trace = [best_value]
+    for point, value in zip(polished, polished_values.tolist()):
+        if value < best_value or (value == best_value and tuple(point) < tuple(best_point)):
+            best_value = value
+            best_point = point
+        trace.append(best_value)
+    report = {
+        "grid_points_per_axis": GRID_POINTS,
+        "grid_evaluations": math.prod(len(axis) for axis in axes),
+        "restarts": REFINE_STARTS,
+        "iterations": int(iterations.sum()),
+        "best_objective_trace": trace,
+    }
+    return best_point, report
 
 
-def _reconstruct_scenario(problems, points: np.ndarray) -> list[TwoStepScenario]:
-    """The full scenario of each problem at its row of ``points``.
+def _reconstruct_scenario(problem: TwoStepProblem, point: np.ndarray) -> TwoStepScenario:
+    """The full scenario at ``point``, a row (p_lambda1, a0, e_b00, e_b01, e_b10).
 
     The eliminated variables come from :func:`_elimination`.  Each side's
     phase errors reach its worst weighted average: every component sits at
@@ -701,29 +642,23 @@ def _reconstruct_scenario(problems, points: np.ndarray) -> list[TwoStepScenario]
     side's band (0 for a band of no width).  A side of zero weight takes
     the cross-basis bit error rates as its phase errors.
     """
-    constants = np.array([problem.search_constants for problem in problems]).T
-    a1, rates, side, _, errors, worst, _ = _elimination(points, constants)
+    a1, rates, side, _, errors, worst, _ = _elimination(point[None], problem.search_constants)
     lo, hi = errors[1:]
     width = hi - lo
     t = np.divide(worst - lo, width, out=np.zeros(width.shape), where=~(width <= 0.0))
     phases = rates[:, 1] + t * (rates[:, 2] - rates[:, 1])
     phases = np.where(side <= 0.0, rates[:, 0, ::-1], phases)
-    # Per problem: e_b00, e_b01, e_b10, e_b11, then the e_p in the same order.
-    fields = np.concatenate((rates[:, 0], phases)).reshape(8, -1).T.tolist()
+    # e_b00, e_b01, e_b10, e_b11, then the e_p in the same order.
+    fields = np.concatenate((rates[:, 0], phases)).ravel().tolist()
     names = ("e_b00", "e_b01", "e_b10", "e_b11", "e_p00", "e_p01", "e_p10", "e_p11")
-    scenarios = []
-    for problem, (p, a0), a1_value, row in zip(
-        problems, points[:, :2].tolist(), a1.tolist(), fields
-    ):
-        eps0 = problem.dev.eps0
-        hv = HiddenVariableModel(
-            p_lambda0=0.5,
-            p_lambda1=p,
-            p_x0_given_l0=(0.5 + eps0, 0.5 - eps0),
-            p_x1_given_l1=(a0, a1_value),
-        )
-        scenarios.append(TwoStepScenario(hv=hv, **dict(zip(names, row))))
-    return scenarios
+    eps0 = problem.dev.eps0
+    hv = HiddenVariableModel(
+        p_lambda0=0.5,
+        p_lambda1=float(point[0]),
+        p_x0_given_l0=(0.5 + eps0, 0.5 - eps0),
+        p_x1_given_l1=(float(point[1]), float(a1[0])),
+    )
+    return TwoStepScenario(hv=hv, **dict(zip(names, fields)))
 
 
 def constraint_residuals(problem: TwoStepProblem, scenario: TwoStepScenario) -> dict:
@@ -759,48 +694,36 @@ def constraint_residuals(problem: TwoStepProblem, scenario: TwoStepScenario) -> 
     return res
 
 
-def solve_two_step_many(problems) -> list[OptimizationResult]:
-    """Worst-case split-processing rates of several problems, in input order.
-
-    Each problem's reduced five-variable box is scanned on its own grid;
-    then the refinement starts of up to ``SOLVE_BLOCK`` problems at a time
-    are polished together in one lockstep batch, which gives every problem
-    the same bits as solving it alone and keeps memory flat in the number
-    of problems.  Each minimizer's eliminated variables are reconstructed
-    and it is re-evaluated through the exact scenario calculator, so the
-    reported rate and the reported scenario cannot drift apart.
-
-    Every valid problem has penalty-free grid cells, so the search always
-    ends on a feasible point.  The check that each minimizer meets every
-    constraint to within 1e-9 (its ``feasibility_residual``) guards against
-    a fault in the search, not against an input: the first problem whose
-    minimizer fails it raises InfeasibilityError carrying that residual.
-    """
-    problems = list(problems)
-    results = []
-    for first in range(0, len(problems), SOLVE_BLOCK):
-        block = problems[first:first + SOLVE_BLOCK]
-        searches = _box_search([problem.search_constants for problem in block])
-        scenarios = _reconstruct_scenario(block, np.array([point for point, _ in searches]))
-        for problem, scenario, (_, report) in zip(block, scenarios, searches):
-            residual = max(constraint_residuals(problem, scenario).values())
-            if residual > 1e-9:
-                raise InfeasibilityError(
-                    f"no feasible eavesdropper strategy found for Q={problem.q_target!r}",
-                    residual=residual,
-                )
-            min_rate = evaluate_two_step_scenario(scenario, problem.dev, use_worst_phase=True)
-            report["feasibility_residual"] = residual
-            report["one_step_delta"] = one_step_delta(problem.dev)
-            results.append(
-                OptimizationResult(min_rate=min_rate, argmin=scenario, solver_report=report)
-            )
-    return results
-
-
 def solve_two_step(problem: TwoStepProblem) -> OptimizationResult:
     """Worst-case split-processing rate compatible with the observations.
 
-    The one-problem case of :func:`solve_two_step_many`.
+    The reduced five-variable box is searched, the minimizer's eliminated
+    variables are reconstructed, and it is re-evaluated through the exact
+    scenario calculator, so the reported rate and the reported scenario
+    cannot drift apart.  Where :func:`keyrate.two_step_worst_scenario`
+    rates lower by more than ``CLOSED_FORM_MARGIN``, that scenario and its
+    rate are returned instead, with the search's report.
+
+    Every valid problem has penalty-free grid cells, so the search always
+    ends on a feasible point.  The check that the minimizer meets every
+    constraint to within 1e-9 (its ``feasibility_residual``) guards against
+    a fault in the search, not against an input: a minimizer that fails it
+    raises InfeasibilityError carrying that residual.
     """
-    return solve_two_step_many([problem])[0]
+    point, report = _box_search(problem.search_constants)
+    scenario = _reconstruct_scenario(problem, point)
+    residual = max(constraint_residuals(problem, scenario).values())
+    if residual > 1e-9:
+        raise InfeasibilityError(
+            f"no feasible eavesdropper strategy found for Q={problem.q_target!r}",
+            residual=residual,
+        )
+    min_rate = evaluate_two_step_scenario(scenario, problem.dev, use_worst_phase=True)
+    closed = two_step_worst_scenario(problem.q_target, problem.dev)
+    closed_rate = evaluate_two_step_scenario(closed, problem.dev, use_worst_phase=True)
+    if min_rate.rate - closed_rate.rate > CLOSED_FORM_MARGIN:
+        scenario, min_rate = closed, closed_rate
+        residual = max(constraint_residuals(problem, closed).values())
+    report["feasibility_residual"] = residual
+    report["one_step_delta"] = one_step_delta(problem.dev)
+    return OptimizationResult(min_rate=min_rate, argmin=scenario, solver_report=report)

@@ -1,7 +1,7 @@
 """Full-scan reference of the optimizer's box search.
 
-:func:`box_search` evaluates the objective at every cell of every
-problem's grid before it picks the refinement starts and polishes them,
+:func:`box_search` evaluates the objective at every cell of a problem's
+grid before it picks the refinement starts and polishes them,
 so the scan in :mod:`bb84_weakrand.optimizer`, which evaluates only the
 cells that can be among the best, can be checked against it bit for bit.
 It calls the optimizer's own grid axes, objective, selection and polish.
@@ -32,65 +32,47 @@ def grid_points_array(axes: list[np.ndarray]) -> np.ndarray:
 
 
 def box_search(constants):
-    """Grid scan of every problem's box, then one lockstep polish of all their starts.
+    """Grid scan of one problem's box, then a lockstep polish of its best cells.
 
-    ``constants`` lists each problem's ``search_constants``; its box is the
-    unit cube with the basis band on the ``a0`` axis.  Each box keeps the
-    best cell of its grid and polishes its ``optimizer.REFINE_STARTS`` best
-    cells.  Returns one ``(point, report)`` per problem, in order.  The
-    settings are read from :mod:`bb84_weakrand.optimizer` at call time, so
-    a test that patches them there patches them here too.
+    ``constants`` is the problem's ``search_constants``; its box is the
+    unit cube with the basis band on the ``a0`` axis.  The search keeps the
+    best cell of the grid and polishes its ``optimizer.REFINE_STARTS`` best
+    cells.  Returns ``(point, report)``.  The settings are read from
+    :mod:`bb84_weakrand.optimizer` at call time, so a test that patches
+    them there patches them here too.
     """
     grid_points, n_starts = optimizer.GRID_POINTS, optimizer.REFINE_STARTS
-    boxes = [
-        [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
-        for *_, band_lo, band_hi in constants
-    ]
-    seeds, starts = [], []
-    for own, bounds in zip(constants, boxes):
-        points = grid_points_array(_grid_axes(bounds, grid_points))
-        values = np.concatenate(
-            [
-                _reduced_objective_vec(points[j:j + GRID_CHUNK], own)
-                for j in range(0, len(points), GRID_CHUNK)
-            ]
-        )
-        # Grid enumeration is lexicographic, so breaking ties by index makes
-        # the choice of the best cells deterministic.
-        order = _smallest(values, n_starts)
-        starts.append(points[order])
-        seeds.append((points[order[0]].copy(), float(values[order[0]]), len(points)))
-        del points, values  # one grid at a time
-
-    owners = np.repeat(np.arange(len(boxes)), n_starts)
-    table = np.array(constants).T
-    box = np.array(boxes)
-    polished, polished_values, polish_iterations = _refine(
-        lambda points, labels: _reduced_objective_vec(points, table[:, labels]),
-        np.concatenate(starts),
-        owners,
-        box[owners, :, 0],
-        box[owners, :, 1],
+    *_, band_lo, band_hi = constants
+    bounds = [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+    points = grid_points_array(_grid_axes(bounds, grid_points))
+    values = np.concatenate(
+        [
+            _reduced_objective_vec(points[j:j + GRID_CHUNK], constants)
+            for j in range(0, len(points), GRID_CHUNK)
+        ]
     )
+    # Grid enumeration is lexicographic, so breaking ties by index makes
+    # the choice of the best cells deterministic.
+    order = _smallest(values, n_starts)
+    starts = points[order]
+    best_point, best_value = starts[0].copy(), float(values[order[0]])
 
-    searches, first = [], 0
-    for best_point, best_value, n_points in seeds:
-        trace = [best_value]
-        for row in range(first, first + n_starts):
-            point, value = polished[row], float(polished_values[row])
-            if value < best_value or (
-                value == best_value and tuple(point) < tuple(best_point)
-            ):
-                best_value = value
-                best_point = point
-            trace.append(best_value)
-        report = {
-            "grid_points_per_axis": grid_points,
-            "grid_evaluations": n_points,
-            "restarts": n_starts,
-            "iterations": int(polish_iterations[first:first + n_starts].sum()),
-            "best_objective_trace": [float(v) for v in trace],
-        }
-        searches.append((best_point, report))
-        first += n_starts
-    return searches
+    lower, upper = np.array(bounds).T
+    polished, polished_values, polish_iterations = _refine(
+        lambda x: _reduced_objective_vec(x, constants), starts, lower, upper
+    )
+    trace = [best_value]
+    for point, value in zip(polished, polished_values):
+        value = float(value)
+        if value < best_value or (value == best_value and tuple(point) < tuple(best_point)):
+            best_value = value
+            best_point = point
+        trace.append(best_value)
+    report = {
+        "grid_points_per_axis": grid_points,
+        "grid_evaluations": len(points),
+        "restarts": n_starts,
+        "iterations": int(polish_iterations.sum()),
+        "best_objective_trace": [float(v) for v in trace],
+    }
+    return best_point, report

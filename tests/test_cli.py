@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bb84_weakrand import cli, optimizer
@@ -20,7 +22,7 @@ from bb84_weakrand.output import canonical_json, checksum_of
 
 
 # sha256 of the curves sweep CSV (the benchmark's `curves` workload, seed 1),
-# as the per-point solver wrote it before sweeps were batched.
+# as the search wrote it before sweeps took the two-step closed form.
 CURVES_SHA256 = "78e9c69bb26453ca72342548f0554741296381d789fb24754afd971ea35f1e64"
 
 
@@ -77,23 +79,6 @@ class TestRateCommand:
         assert doc["result"]["solver_report"]["restarts"] == optimizer.REFINE_STARTS
         assert "seed" not in doc["result"]["solver_report"]
 
-    @pytest.mark.parametrize("block", [1, 7, optimizer.SOLVE_BLOCK])
-    def test_two_step_points_solved_in_blocks(self, block, tmp_path, monkeypatch):
-        """The benchmark's curves sweep gives the same bytes for any block size.
-
-        With one problem per block every point is solved alone, as
-        ``solve_two_step`` does; 36 points in 7s end on a partial block.
-        """
-        assert optimizer.SOLVE_BLOCK >= 36
-        monkeypatch.setattr(optimizer, "SOLVE_BLOCK", block)
-        out = tmp_path / "curves.csv"
-        args = ["sweep", "--qber", "0:0.12:0.01", "--dev", "0,0", "--dev", "0,0.1",
-                "--dev", "0.1,0.1", "--method", "one-step", "--method", "two-step",
-                "--seed", "1", "--out", str(out)]
-        assert main(args) == EXIT_OK
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == CURVES_SHA256
-
     def test_two_step_runs_without_seed(self, capsys):
         """The search draws nothing random, so it needs no seed."""
         assert main(["rate", "--method", "two-step", "--qber", "0.02", "--eps1", "0.1"]) == EXIT_OK
@@ -141,9 +126,7 @@ class TestRateCommand:
         monkeypatch.setattr(
             optimizer,
             "_box_search",
-            lambda constants: [
-                ([0.0, 0.5, 1.0, 1.0, 1.0], report) for _, report in search(constants)
-            ],
+            lambda constants: (np.array([0.0, 0.5, 1.0, 1.0, 1.0]), search(constants)[1]),
         )
         argv = ["rate", "--method", "two-step", "--qber", "0.02", "--eps1", "0.1"]
         assert main(argv) == EXIT_INFEASIBLE
@@ -235,6 +218,30 @@ class TestSweepCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["manifest"]["seed"] is None
         assert len(doc["result"]) == 2
+
+    def test_curves_sweep_matches_the_recorded_csv(self, tmp_path):
+        out = tmp_path / "curves.csv"
+        args = ["sweep", "--qber", "0:0.12:0.01", "--dev", "0,0", "--dev", "0,0.1",
+                "--dev", "0.1,0.1", "--method", "one-step", "--method", "two-step",
+                "--seed", "1", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == CURVES_SHA256
+
+    def test_two_step_sweep_does_not_import_the_optimizer(self):
+        """Two-step rows come from the closed form in keyrate, not from the search."""
+        code = (
+            "import sys\n"
+            "from bb84_weakrand.cli import main\n"
+            "argv = ['sweep', '--qber', '0:0.05:0.01', '--dev', '0,0.1', '--dev', '0.1,0.5',\n"
+            "        '--method', 'two-step', '--out', '-']\n"
+            "assert main(argv) == 0\n"
+            "assert 'bb84_weakrand.optimizer' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_bad_range_rejected(self):
         for bad in ("0:0.6:0.01", "0.1:0.05:0.01", "0:0.1:0", "nope"):
@@ -379,6 +386,29 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: cannot read ({reason})\n"
+
+    def test_config_at_the_size_cap_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        head = b"pulses=1000\nseed=1\n"
+        cfg.write_bytes(head + b"#" * (cli.MAX_CONFIG_BYTES - len(head)))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["result"]["n_pulses"] == 1000
+
+    def test_config_over_the_size_cap_exits_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"pulses=1000\nseed=1\n" + b"#" * cli.MAX_CONFIG_BYTES)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {cfg}: longer than {cli.MAX_CONFIG_BYTES} bytes, not a config file\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_config_exits_validation(self, capsys):
+        """An endless file is read only to one byte past the cap."""
+        assert main(["simulate", "--config", "/dev/zero"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: /dev/zero: longer than ")
 
     def test_config_file_not_utf8_exits_validation(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -14,8 +14,11 @@ from bb84_weakrand.keyrate import (
     one_step_rate,
     phase_gap_bound,
     strong_randomness_rate,
+    two_step_rate,
+    two_step_worst_scenario,
     worst_case_phase_error,
 )
+from bb84_weakrand.optimizer import TwoStepProblem, constraint_residuals
 from bb84_weakrand.quantum_core import binary_entropy
 
 # 50-digit decimal references.
@@ -25,6 +28,7 @@ GAP_AT_01 = 0.01010205144336438036054318505882172161  # 1/2 - sqrt(0.24)
 ONE_STEP_BASIS_LEAK_POINT = 0.09839195449621376211227226069602090145
 ONE_STEP_ZERO_DEV = 0.71711891491635870969124200559121606641
 ONE_STEP_BIT_ONLY = 0.66365607458319982524473845719937027540
+TWO_STEP_BASIS_LEAK = 0.66416759962660319398002667314973674707
 
 
 def balanced_scenario(e_b, e_p=None) -> TwoStepScenario:
@@ -314,3 +318,70 @@ class TestWorstCasePhaseError:
         assert worst_case_phase_error((0.5, 0.5), (0.8, 0.9), 0.05) == pytest.approx(
             0.8, abs=1e-15
         )
+
+
+# The attaining scenario's check grid: q in steps of 0.005 and eps1 in
+# steps of 1/16, both ends included (3,636 points).
+CLOSED_FORM_GRID = [
+    (i * 0.005, eps0, k / 16)
+    for i in range(101)
+    for eps0 in (0.0, 0.1, 0.3, 0.5)
+    for k in range(9)
+]
+
+
+class TestTwoStepRate:
+    def test_basis_leak_reference_point(self):
+        rate = two_step_rate(0.02, DeviationParams(0.0, 0.1)).rate
+        assert rate == pytest.approx(TWO_STEP_BASIS_LEAK, abs=1e-15)
+        assert round(rate, 4) == 0.6642
+
+    def test_unbiased_basis_choice_is_the_one_step_rate(self):
+        for q in (0.0, 0.02, 0.11, 0.3, 0.5):
+            for eps0 in (0.0, 0.1, 0.5):
+                dev = DeviationParams(eps0, 0.0)
+                assert two_step_rate(q, dev).rate == pytest.approx(
+                    one_step_rate(q, dev).rate, abs=1e-15
+                )
+
+    @pytest.mark.parametrize("eps0", [0.0, 0.1, 0.3, 0.5])
+    def test_fully_leaked_basis_choice_leaves_minus_h_of_q(self, eps0):
+        """At eps1 = 1/2 the phase error is 1/2 at every q, q = 0 included."""
+        dev = DeviationParams(eps0, 0.5)
+        assert two_step_rate(0.0, dev).rate == 0.0
+        for q in [0.0, 1e-300, 0.005, 0.02, 0.25, 0.5]:
+            result = two_step_rate(q, dev)
+            assert result.rate == pytest.approx(-binary_entropy(q), abs=1e-15)
+            assert result.diagnostics["e_phase_worst"] == 0.5
+
+    def test_monotone_in_qber_and_deviations(self):
+        base = two_step_rate(0.03, DeviationParams(0.1, 0.1)).rate
+        assert two_step_rate(0.04, DeviationParams(0.1, 0.1)).rate < base
+        assert two_step_rate(0.03, DeviationParams(0.2, 0.1)).rate < base
+        assert two_step_rate(0.03, DeviationParams(0.1, 0.2)).rate < base
+
+    def test_qber_above_half_rejected(self):
+        with pytest.raises(ValidationError):
+            two_step_rate(0.6, DeviationParams(0.0, 0.1))
+
+
+class TestTwoStepWorstScenario:
+    def test_attains_the_closed_form_and_meets_every_constraint(self):
+        worst_residual = worst_gap = 0.0
+        for q, eps0, eps1 in CLOSED_FORM_GRID:
+            dev = DeviationParams(eps0, eps1)
+            scenario = two_step_worst_scenario(q, dev)
+            residuals = constraint_residuals(TwoStepProblem(q, dev), scenario)
+            worst_residual = max(worst_residual, *residuals.values())
+            closed = two_step_rate(q, dev).rate
+            worst = evaluate_two_step_scenario(scenario, dev, use_worst_phase=True).rate
+            # The stored phase errors are the worst case too.
+            stored = evaluate_two_step_scenario(scenario, dev).rate
+            worst_gap = max(worst_gap, abs(worst - closed), abs(stored - closed))
+        assert worst_residual <= 1e-15
+        assert worst_gap <= 1e-15
+
+    def test_both_regimes_are_on_the_grid(self):
+        """Some points have q r <= 1/2 (u = 0) and some a cross-basis average of 1/2."""
+        us = [two_step_worst_scenario(q, DeviationParams(e0, e1)).e_b01 for q, e0, e1 in CLOSED_FORM_GRID]
+        assert 0 < us.count(0.0) < len(us)

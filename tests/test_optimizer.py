@@ -18,6 +18,9 @@ from bb84_weakrand.keyrate import (
     TwoStepScenario,
     evaluate_two_step_scenario,
     one_step_rate,
+    phase_gap_bound,
+    two_step_rate,
+    two_step_worst_scenario,
 )
 from bb84_weakrand.optimizer import (
     DEGENERATE_AXIS_TOL,
@@ -26,11 +29,11 @@ from bb84_weakrand.optimizer import (
     OBJECTIVE_TOL,
     PENALTY_BASE,
     REFINE_STARTS,
-    SOLVE_BLOCK,
     VARIABLE_TOL,
     TwoStepProblem,
     _box_search,
     _elimination,
+    _feasibility,
     _grid_axes,
     _grid_points_array,
     _penalty_free_cells,
@@ -41,7 +44,6 @@ from bb84_weakrand.optimizer import (
     _smallest,
     constraint_residuals,
     solve_two_step,
-    solve_two_step_many,
 )
 from bb84_weakrand.output import canonical_json
 
@@ -90,28 +92,6 @@ class TestObjectiveConsistency:
             scalar = [_reduced_objective_scalar(problem, *row) for row in points.tolist()]
             assert hexes(optimizer._scan_cells(axes, own, cells)) == hexes(scalar)
 
-    def test_per_row_constants_match_scalar(self, rng):
-        problems = [
-            TwoStepProblem(q_target=q, dev=DeviationParams(eps0, eps1))
-            for q, eps0, eps1 in [
-                (0.0, 0.0, 0.0), (-0.0, 0.1, 0.1), (0.07, 0.08, 0.2), (0.3, 0.2, 0.5), (0.5, 0.3, 0.45),
-            ]
-        ]
-        owners = rng.integers(0, len(problems), size=3000)
-        points = rng.uniform(0.0, 1.0, size=(3000, 5))
-        table = np.array([problem.search_constants for problem in problems]).T
-        # Exact zeros and ones, the box's corners, hit every tie of the clamps.
-        points[rng.random(points.shape) < 0.2] = 0.0
-        points[rng.random(points.shape) < 0.1] = 1.0
-        band_lo, band_hi = table[2, owners], table[3, owners]
-        points[:, 1] = band_lo + points[:, 1] * (band_hi - band_lo)
-        values = _reduced_objective_vec(points, table[:, owners])
-        expected = [
-            _reduced_objective_scalar(problems[owner], *row)
-            for owner, row in zip(owners.tolist(), points.tolist())
-        ]
-        assert hexes(values) == hexes(expected)
-
     def test_weights_below_tiny_match_scalar(self, rng):
         """Vanishing weights take the scalar's fallbacks; a side weight in
         (0, 1e-15) divides as in the scalar: by itself."""
@@ -145,7 +125,7 @@ class TestObjectiveConsistency:
             value = _reduced_objective_scalar(problem, *v)
             if value >= 1e3:  # infeasible elimination, penalized
                 continue
-            [scenario] = _reconstruct_scenario([problem], v[None])
+            scenario = _reconstruct_scenario(problem, v)
             exact = evaluate_two_step_scenario(
                 scenario, problem.dev, use_worst_phase=True
             )
@@ -172,7 +152,7 @@ def scenario_hexes(scenario):
 
 
 class TestRebuild:
-    def test_batched_rebuild_matches_reference(self, rng):
+    def test_rebuild_matches_reference(self, rng):
         """Every field of every rebuilt scenario is the reference's, bit for bit."""
         owners = rng.integers(0, len(REBUILD_PROBLEMS), size=4000)
         points = rng.uniform(0.0, 1.0, size=(len(owners), 5))
@@ -185,13 +165,18 @@ class TestRebuild:
         points[:, 1] = band_lo + points[:, 1] * (band_hi - band_lo)
         problems = [REBUILD_PROBLEMS[owner] for owner in owners.tolist()]
 
-        rebuilt = _reconstruct_scenario(problems, points)
+        rebuilt = [_reconstruct_scenario(p, row) for p, row in zip(problems, points)]
 
         expected = [reconstruct_scenario(p, row) for p, row in zip(problems, points)]
         assert [scenario_hexes(s) for s in rebuilt] == [scenario_hexes(s) for s in expected]
         # The corners reach both fallbacks and a side of zero weight.
         assert (points[:, 0] == 1.0).any()
         assert any(s.p_rec == 0.0 or s.p_dia == 0.0 for s in expected)
+
+
+# A point whose rebuilt scenario has QBER 1/2: p_lambda1 = 0 puts all weight
+# on hidden value 1, with e_b10 = 1 and e_b11 clamped up to 0.
+INFEASIBLE_POINT = np.array([0.0, 0.5, 1.0, 1.0, 1.0])
 
 
 class TestSolveTwoStep:
@@ -231,8 +216,8 @@ class TestSolveTwoStep:
         ]
         for max_iterations in (MAX_ITERATIONS, 1):
             monkeypatch.setattr(optimizer, "MAX_ITERATIONS", max_iterations)
-            for result in solve_two_step_many(problems):
-                assert result.solver_report["feasibility_residual"] <= 1e-9
+            for problem in problems:
+                assert solve_two_step(problem).solver_report["feasibility_residual"] <= 1e-9
 
     def test_min_rate_matches_argmin_evaluation(self, fast):
         problem = TwoStepProblem(q_target=0.03, dev=DeviationParams(0.05, 0.1))
@@ -305,6 +290,106 @@ class TestSolveTwoStep:
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert report["grid_evaluations"] == 7**5
 
+    def test_no_rate_without_a_feasible_scenario(self, monkeypatch):
+        """An argmin off the constraints raises with its residual instead of giving a rate."""
+        search = optimizer._box_search
+        monkeypatch.setattr(
+            optimizer, "_box_search", lambda constants: (INFEASIBLE_POINT, search(constants)[1])
+        )
+        with pytest.raises(InfeasibilityError) as info:
+            solve_two_step(TwoStepProblem(0, DeviationParams(0, 0)))
+        assert str(info.value) == "no feasible eavesdropper strategy found for Q=0"
+        # The rebuilt scenario has QBER 1/2 where 0 was observed.
+        assert info.value.residual == 0.5
+
+
+# Points where the search's own minimum lies above the closed form by more
+# than CLOSED_FORM_MARGIN, with the rate the search alone ends on there.
+SEARCH_ABOVE_CLOSED_FORM = {
+    (0.005, 0.1, 0.4): 0.6468984667667625,
+    (0.04, 0.2, 0.4): -0.2142528212870714,
+    (0.03, 0.1, 0.4): -0.0499816830487132,
+    (0.18, 0.0, 0.2): -0.6615309402301306,
+    (0.32, 0.0, 0.1): -0.90322699333071,
+}
+
+
+def _sampled_rates(points, problem):
+    """Worst-phase rate and feasibility penalty at each sampled box point.
+
+    The eliminated ``a1`` and ``e11`` come from :func:`_feasibility`; the
+    rate is formed here from the weights, with each basis's phase error at
+    the point of its band nearest 1/2.
+    """
+    _, (w00, w01, w10, w11), e11, penalty = _feasibility(*points.T, problem.search_constants)
+    e00, e01, e10 = points[:, 2:].T
+    gap = phase_gap_bound(problem.dev.eps0)
+
+    def entropy(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+        return np.where((x > 0.0) & (x < 1.0), h, 0.0)
+
+    def side(w_a, w_b, bit_a, bit_b, cross_a, cross_b):
+        total = w_a + w_b
+        bit = (w_a * bit_a + w_b * bit_b) / total
+        lo = (w_a * np.maximum(cross_a - gap, 0.0) + w_b * np.maximum(cross_b - gap, 0.0)) / total
+        hi = (w_a * np.minimum(cross_a + gap, 1.0) + w_b * np.minimum(cross_b + gap, 1.0)) / total
+        return total * (1.0 - entropy(bit) - entropy(np.minimum(np.maximum(0.5, lo), hi)))
+
+    rate = side(w00, w10, e00, e10, e01, e11) + side(w01, w11, e01, e11, e00, e10)
+    return rate, penalty
+
+
+class TestClosedFormBound:
+    """The solve never reports a rate above the proven minimum, ``keyrate.two_step_rate``."""
+
+    def test_never_above_the_closed_form(self):
+        for q in (0.0, 0.01, 0.03, 0.06, 0.1, 0.2, 0.35, 0.5):
+            for eps0 in (0.0, 0.1, 0.5):
+                for eps1 in (0.0, 0.1, 0.2, 0.4, 0.5):
+                    dev = DeviationParams(eps0, eps1)
+                    result = solve_two_step(TwoStepProblem(q, dev))
+                    assert result.min_rate.rate <= two_step_rate(q, dev).rate + 1e-12
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_ABOVE_CLOSED_FORM))
+    def test_a_search_above_the_closed_form_returns_its_scenario(self, case):
+        q, eps0, eps1 = case
+        dev = DeviationParams(eps0, eps1)
+        result = solve_two_step(TwoStepProblem(q, dev))
+        assert result.min_rate.rate == pytest.approx(two_step_rate(q, dev).rate, abs=1e-15)
+        assert result.min_rate.rate < SEARCH_ABOVE_CLOSED_FORM[case] - 1e-12
+        assert result.argmin == two_step_worst_scenario(q, dev)
+        assert result.solver_report["feasibility_residual"] <= 1e-15
+
+    @pytest.mark.parametrize("eps0", [0.0, 0.1, 0.3])
+    def test_fully_leaked_basis_choice_at_zero_qber(self, eps0):
+        """Hidden values of zero weight in a basis let the adversary saturate its phase error."""
+        dev = DeviationParams(eps0, 0.5)
+        assert solve_two_step(TwoStepProblem(0.0, dev)).min_rate.rate == 0.0
+        assert two_step_rate(0.0, dev).rate == 0.0
+
+    def test_no_feasible_sample_below_the_closed_form(self, rng):
+        """A plain sampler over the box finds no penalty-free point below R2."""
+        feasible = 0
+        for _ in range(40):
+            q = float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5)]))
+            eps1 = float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5)]))
+            problem = TwoStepProblem(q, DeviationParams(float(rng.uniform(0.0, 0.5)), eps1))
+            *_, band_lo, band_hi = problem.search_constants
+            # Bit errors up to 3 q keep most samples near the observed QBER,
+            # where the penalty-free points are.
+            top = min(1.0, 3.0 * q + 1e-3)
+            points = rng.uniform([0, band_lo, 0, 0, 0], [1, band_hi, top, top, top], size=(20000, 5))
+            points[rng.random(points.shape) < 0.05] = 0.0
+            points[:, 1] = np.clip(points[:, 1], band_lo, band_hi)
+            rate, penalty = _sampled_rates(points, problem)
+            free = penalty == 0.0
+            feasible += int(free.sum())
+            closed = two_step_rate(problem.q_target, problem.dev).rate
+            assert not (rate[free] < closed - 1e-15).any()
+        assert feasible > 100_000
+
 
 # (q, eps0, eps1): a degenerate basis axis (eps1 = 0) and the widest one
 # (eps1 = 1/2), q at both ends and in between.
@@ -347,8 +432,8 @@ class TestGridScan:
         monkeypatch.setattr(
             optimizer, "_scan_cells", lambda *args: scanned.append(len(args[2])) or scan(*args)
         )
-        ours = _box_search(GRID_SCAN_CONSTANTS)
-        expected = grid_scan_box_search(GRID_SCAN_CONSTANTS)
+        ours = [_box_search(own) for own in GRID_SCAN_CONSTANTS]
+        expected = [grid_scan_box_search(own) for own in GRID_SCAN_CONSTANTS]
         assert [hexes(point) for point, _ in ours] == [hexes(point) for point, _ in expected]
         assert [repr(report) for _, report in ours] == [repr(report) for _, report in expected]
         # One scan per problem, of its penalty-free cells.
@@ -439,17 +524,22 @@ CROSS_CHECK_CASES = {
 
 
 def _logged_polish(batched, starts, bounds):
-    """:func:`_refine` over ``starts``, with each row's evaluated points in call order."""
-    calls = [[] for _ in starts]
+    """:func:`_refine` over ``starts``, and each row polished alone with its evaluated points.
 
-    def objective(points, rows):
-        for point, row in zip(points.tolist(), rows.tolist()):
-            calls[row].append([v.hex() for v in point])
-        return batched(points)
+    Returns the lockstep result and, per row, ``(calls, result)``: the
+    points the row's own polish evaluated, in call order, and its result.
+    """
+    lower, upper = np.array(bounds).T
+    alone = []
+    for row in range(len(starts)):
+        calls = []
 
-    lower = np.array([[lo for lo, _ in bounds]] * len(starts))
-    upper = np.array([[hi for _, hi in bounds]] * len(starts))
-    return _refine(objective, starts, np.arange(len(starts)), lower, upper), calls
+        def objective(points):
+            calls.extend([v.hex() for v in point] for point in points.tolist())
+            return batched(points)
+
+        alone.append((calls, _refine(objective, starts[row:row + 1], lower, upper)))
+    return _refine(batched, starts, lower, upper), alone
 
 
 def _is_subsequence(short, long):
@@ -458,7 +548,7 @@ def _is_subsequence(short, long):
 
 
 class TestNelderMeadMatchesScipy:
-    """Each row of the batched polish repeats scipy's bounded Nelder-Mead bit for bit."""
+    """Each row of the lockstep polish repeats scipy's bounded Nelder-Mead bit for bit."""
 
     @pytest.mark.parametrize("case", sorted(CROSS_CHECK_CASES))
     def test_same_points_values_and_iterations(self, case):
@@ -468,7 +558,7 @@ class TestNelderMeadMatchesScipy:
         lower = [bounds[i][0] for i in free]
         upper = [bounds[i][1] for i in free]
         starts = _refinement_starts(batched, bounds)
-        (points, values, iterations), ours = _logged_polish(batched, starts, bounds)
+        (points, values, iterations), alone = _logged_polish(batched, starts, bounds)
         for row, start in enumerate(starts):
             calls = []
 
@@ -491,34 +581,22 @@ class TestNelderMeadMatchesScipy:
                 },
             )
             # The polish also evaluates the trial points scipy skips.
-            assert _is_subsequence(calls, ours[row])
+            own_calls, (own_points, own_values, own_iterations) = alone[row]
+            assert _is_subsequence(calls, own_calls)
             assert hexes(points[row, free]) == hexes(ref.x)
             assert values[row].hex() == float(ref.fun).hex()
             assert iterations[row] == ref.nit
-
-
-# Mixed lockstep batch: a 4-axis problem (eps1 = 0) and three 5-axis ones,
-# a small iteration cap that some rows reach, and rows that shrink.
-MIXED_BATCH = [
-    (0.24893123976187623, 0.0, 0.0), (0.02, 0.0, 0.1), (0.03, 0.1, 0.1), (0.04, 0.0, 0.45),
-]
+            # Polished alone, the row ends on the same bits.
+            assert hexes(own_points[0]) == hexes(points[row])
+            assert (own_values[0], own_iterations[0]) == (values[row], iterations[row])
 
 
 class TestBatchedPolish:
-    def test_mixed_batch_matches_reference(self, monkeypatch):
+    def test_rows_match_reference_polish(self, monkeypatch):
+        """Every row of each two-step cross-check case ends on the plain-float
+        reference's bits, also where it reaches a small iteration cap or shrinks."""
         max_iterations = 120
         monkeypatch.setattr(optimizer, "MAX_ITERATIONS", max_iterations)
-        problems = [TwoStepProblem(q, DeviationParams(e0, e1)) for q, e0, e1 in MIXED_BATCH]
-        starts, owners, cases = [], [], []
-        for owner, (q, e0, e1) in enumerate(MIXED_BATCH):
-            case = _two_step_case(q, e0, e1)
-            rows = _refinement_starts(case[2], case[1])
-            starts.append(rows)
-            owners += [owner] * len(rows)
-            cases += [case] * len(rows)
-        starts, owners = np.concatenate(starts), np.array(owners)
-        table = np.array([problem.search_constants for problem in problems]).T
-        boxes = np.array([case[1] for case in cases])
         shrunk = []
         original = optimizer._Simplices.set_shrunk
         monkeypatch.setattr(
@@ -526,52 +604,48 @@ class TestBatchedPolish:
             "set_shrunk",
             lambda self, rows, x, v: shrunk.append(len(rows)) or original(self, rows, x, v),
         )
-
-        points, values, iterations = _refine(
-            lambda x, labels: _reduced_objective_vec(x, table[:, labels]),
-            starts,
-            owners,
-            boxes[:, :, 0],
-            boxes[:, :, 1],
-        )
-
-        for row, (objective, bounds, _) in enumerate(cases):
+        capped = finished = 0
+        for case in sorted(CROSS_CHECK_CASES):
+            objective, bounds, batched = CROSS_CHECK_CASES[case]()
+            starts = _refinement_starts(batched, bounds)
+            lower, upper = np.array(bounds).T
+            points, values, iterations = _refine(batched, starts, lower, upper)
             free = [i for i, (lo, hi) in enumerate(bounds) if hi - lo > DEGENERATE_AXIS_TOL]
-            start = starts[row].tolist()
+            for row, start in enumerate(starts.tolist()):
 
-            def reduced(x):
-                full = list(start)
-                for i, v in zip(free, x):
-                    full[i] = v
-                return objective(full)
+                def reduced(x):
+                    full = list(start)
+                    for i, v in zip(free, x):
+                        full[i] = v
+                    return objective(full)
 
-            x, fun, nit = nelder_mead(
-                reduced,
-                [start[i] for i in free],
-                [bounds[i][0] for i in free],
-                [bounds[i][1] for i in free],
-                max_iterations,
-                OBJECTIVE_TOL,
-                VARIABLE_TOL,
-            )
-            assert hexes(points[row, free]) == hexes(x)
-            assert values[row].hex() == fun.hex()
-            assert iterations[row] == nit
-        free_axes = (boxes[:, :, 1] - boxes[:, :, 0] > DEGENERATE_AXIS_TOL).sum(axis=1)
-        assert set(free_axes.tolist()) == {4, 5}
-        assert 0 < (iterations < max_iterations).sum() < len(starts)
+                x, fun, nit = nelder_mead(
+                    reduced,
+                    [start[i] for i in free],
+                    [bounds[i][0] for i in free],
+                    [bounds[i][1] for i in free],
+                    max_iterations,
+                    OBJECTIVE_TOL,
+                    VARIABLE_TOL,
+                )
+                assert hexes(points[row, free]) == hexes(x)
+                assert values[row].hex() == fun.hex()
+                assert iterations[row] == nit
+            capped += int((iterations == max_iterations).sum())
+            finished += int((iterations < max_iterations).sum())
+        assert capped and finished
         assert shrunk
 
     def test_degenerate_axes_keep_their_start(self):
         # The row holds its degenerate first axis and polishes the second.
         starts = np.array([[0.7, 0.9]])
-        lower = np.array([[0.7, -1.0]])
-        upper = np.array([[0.7, 1.0]])
+        lower = np.array([0.7, -1.0])
+        upper = np.array([0.7, 1.0])
 
-        def objective(points, labels):
+        def objective(points):
             return (points[:, 0] - 0.3) ** 2 + points[:, 1] ** 2
 
-        points, _, iterations = _refine(objective, starts, np.arange(1), lower, upper)
+        points, _, iterations = _refine(objective, starts, lower, upper)
         assert points[0, 0] == 0.7
         assert points[0, 1] == pytest.approx(0.0, abs=1e-6)
         assert iterations[0] > 0
@@ -590,75 +664,6 @@ class TestBatchedPolish:
         expected = np.stack([m.ravel() for m in mesh], axis=1)
         assert hexes(_grid_points_array(axes, np.arange(6))) == hexes(expected)
         assert hexes(_grid_points_array(axes, np.array([5, 0, 3]))) == hexes(expected[[5, 0, 3]])
-
-
-# The two-step points of the benchmark's `curves` sweep.
-CURVES_PROBLEMS = [
-    TwoStepProblem(q_target=i * 0.01, dev=DeviationParams(eps0, eps1))
-    for i in range(12)
-    for eps0, eps1 in [(0.0, 0.0), (0.0, 0.1), (0.1, 0.1)]
-]
-
-
-class TestSolveTwoStepMany:
-    def test_batch_equals_one_at_a_time(self, monkeypatch):
-        """More problems than ``SOLVE_BLOCK`` polish a block at a time, each
-        problem with the bits of solving it alone."""
-        problems = CURVES_PROBLEMS + REBUILD_PROBLEMS
-        assert len(problems) > SOLVE_BLOCK
-        # repr round-trips every float, signed zeros included.
-        alone = [repr(solve_two_step(problem).to_dict()) for problem in problems]
-        blocks = []
-        search = optimizer._box_search
-        monkeypatch.setattr(
-            optimizer, "_box_search", lambda constants: blocks.append(len(constants)) or search(constants)
-        )
-        batch = solve_two_step_many(problems)
-        assert [repr(result.to_dict()) for result in batch] == alone
-        assert blocks == [len(problems[i:i + SOLVE_BLOCK]) for i in range(0, len(problems), SOLVE_BLOCK)]
-
-    def test_empty(self):
-        assert solve_two_step_many([]) == []
-
-    def test_first_infeasible_problem_raises(self, monkeypatch, fast):
-        break_search(monkeypatch, broken_qbers=(0.01, 0.02))
-        dev = DeviationParams(0.0, 0.1)
-        with pytest.raises(InfeasibilityError) as alone:
-            solve_two_step_many([TwoStepProblem(0.01, dev)])
-        with pytest.raises(InfeasibilityError) as batch:
-            solve_two_step_many(
-                [TwoStepProblem(0.03, dev), TwoStepProblem(0.01, dev), TwoStepProblem(0.02, dev)]
-            )
-        assert str(batch.value) == str(alone.value) == (
-            "no feasible eavesdropper strategy found for Q=0.01"
-        )
-        assert batch.value.residual == alone.value.residual > 1e-9
-
-    def test_no_rate_without_a_feasible_scenario(self, monkeypatch):
-        """An argmin off the constraints raises with its residual instead of giving a rate."""
-        break_search(monkeypatch, broken_qbers=(0.0,))
-        with pytest.raises(InfeasibilityError) as info:
-            solve_two_step(TwoStepProblem(0, DeviationParams(0, 0)))
-        # The rebuilt scenario has QBER 1/2 where 0 was observed.
-        assert info.value.residual == 0.5
-
-
-# A point whose rebuilt scenario has QBER 1/2: p_lambda1 = 0 puts all weight
-# on hidden value 1, with e_b10 = 1 and e_b11 clamped up to 0.
-INFEASIBLE_POINT = [0.0, 0.5, 1.0, 1.0, 1.0]
-
-
-def break_search(monkeypatch, broken_qbers):
-    """Make the search end at INFEASIBLE_POINT for the problems at ``broken_qbers``."""
-    search = optimizer._box_search
-
-    def broken(constants):
-        return [
-            (INFEASIBLE_POINT if own[0] in broken_qbers else point, report)
-            for own, (point, report) in zip(constants, search(constants))
-        ]
-
-    monkeypatch.setattr(optimizer, "_box_search", broken)
 
 
 # sha256 of canonical_json(solve_two_step(...).to_dict()), recorded while
