@@ -227,10 +227,13 @@ def _cmd_verify(args) -> tuple[dict, object, int]:
         "eps1": args.eps1,
         "grid": args.grid,
     }
+    # Both deviations are validated for either target, though the
+    # cross-basis scan reads eps0 alone.
+    dev = DeviationParams(args.eps0, args.eps1)
     if args.target == "one-step":
-        report = verify_one_step_bound(DeviationParams(args.eps0, args.eps1), args.grid)
+        report = verify_one_step_bound(dev, args.grid)
     else:
-        report = verify_cross_basis_bound(args.eps0, args.grid)
+        report = verify_cross_basis_bound(dev.eps0, args.grid)
     return params, report.to_dict(), EXIT_OK if report.passed else EXIT_INFEASIBLE
 
 

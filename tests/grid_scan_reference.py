@@ -13,9 +13,8 @@ import numpy as np
 
 from bb84_weakrand import optimizer
 from bb84_weakrand.optimizer import (
-    GRID_CHUNK,
     _grid_axes,
-    _reduced_objective_vec,
+    _reduced_objective_scalar,
     _refine,
     _smallest,
 )
@@ -32,7 +31,7 @@ def grid_points_array(axes: list[np.ndarray]) -> np.ndarray:
 
 
 def box_search(constants):
-    """Grid scan of one problem's box, then a lockstep polish of its best cells.
+    """Grid scan of every cell of one problem's box, then a polish of its best cells.
 
     ``constants`` is the problem's ``search_constants``; its box is the
     unit cube with the basis band on the ``a0`` axis.  The search keeps the
@@ -44,26 +43,22 @@ def box_search(constants):
     grid_points, n_starts = optimizer.GRID_POINTS, optimizer.REFINE_STARTS
     *_, band_lo, band_hi = constants
     bounds = [(0.0, 1.0), (band_lo, band_hi), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
-    points = grid_points_array(_grid_axes(bounds, grid_points))
-    values = np.concatenate(
-        [
-            _reduced_objective_vec(points[j:j + GRID_CHUNK], constants)
-            for j in range(0, len(points), GRID_CHUNK)
-        ]
-    )
+
+    def objective(point):
+        return _reduced_objective_scalar(constants, *point)
+
+    points = grid_points_array(_grid_axes(bounds, grid_points)).tolist()
+    values = np.array([objective(point) for point in points])
     # Grid enumeration is lexicographic, so breaking ties by index makes
     # the choice of the best cells deterministic.
-    order = _smallest(values, n_starts)
-    starts = points[order]
-    best_point, best_value = starts[0].copy(), float(values[order[0]])
+    order = _smallest(values, n_starts).tolist()
+    best_point, best_value = points[order[0]], float(values[order[0]])
 
-    lower, upper = np.array(bounds).T
-    polished, polished_values, polish_iterations = _refine(
-        lambda x: _reduced_objective_vec(x, constants), starts, lower, upper
-    )
     trace = [best_value]
-    for point, value in zip(polished, polished_values):
-        value = float(value)
+    iterations = 0
+    for i in order:
+        point, value, count = _refine(objective, points[i], bounds)
+        iterations += count
         if value < best_value or (value == best_value and tuple(point) < tuple(best_point)):
             best_value = value
             best_point = point
@@ -72,7 +67,7 @@ def box_search(constants):
         "grid_points_per_axis": grid_points,
         "grid_evaluations": len(points),
         "restarts": n_starts,
-        "iterations": int(polish_iterations.sum()),
-        "best_objective_trace": [float(v) for v in trace],
+        "iterations": iterations,
+        "best_objective_trace": trace,
     }
     return best_point, report

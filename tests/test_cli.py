@@ -24,6 +24,30 @@ from bb84_weakrand.output import canonical_json, checksum_of
 # sha256 of the curves sweep CSV (the benchmark's `curves` workload, seed 1),
 # as the search wrote it before sweeps took the two-step closed form.
 CURVES_SHA256 = "78e9c69bb26453ca72342548f0554741296381d789fb24754afd971ea35f1e64"
+# The benchmark's `pulses` and `transcript` runs (seed 1): the checksums of
+# their results and the sha256 of the transcript's pulse dump.  Each result
+# holds the derived diagnostics of a two-step solve, so these pin the
+# search's argmin where `simulate` uses it.
+PULSES_ARGS = [
+    "simulate", "--pulses", "4000000", "--q00", "0.95", "--q10", "0.05",
+    "--p-x1-l0", "0.6", "--p-x1-l1", "0.4", "--seed", "1",
+]
+PULSES_CHECKSUM = "sha256:8977e58ff5e989df7256c10a8fd4c3bfd020966a1607bf08513b41500c3cc384"
+TRANSCRIPT_ARGS = [
+    "simulate", "--pulses", "200000", "--attacker", "intercept-resend-with-hints", "--seed", "1",
+]
+TRANSCRIPT_CHECKSUM = "sha256:712d1eb2dd7534adf809a7055c6448cf6b43e0432c89c3c25c603394be9bbf8e"
+TRANSCRIPT_DUMP_SHA256 = "b1e932c2a556affe8f4af572fc75b17c908f22966814f9d7bd463efa04c44b91"
+# The transcript's solve (eps = 0) sorts simplices with tied vertex values,
+# some out of index order; np.argsort's order among ties depends on the CPU
+# (see the solver goldens in test_optimizer.py).  A tied simplex it sorts,
+# and the order np.argsort gave it when the checksum was recorded.  The
+# pulses solve sorts no ties.
+TRANSCRIPT_TIED_SORT = (
+    ["-0x1.3d01753e49d65p-1", "-0x1.3d0153aa06b05p-1", "-0x1.3d0153aa06b05p-1",
+     "-0x1.3d0153aa06b05p-1", "-0x1.3d0237c0a1732p-1"],
+    [4, 0, 2, 1, 3],
+)
 
 
 def run_cli(*args, **kwargs):
@@ -320,6 +344,17 @@ class TestVerifyCommand:
         assert main(["verify", "--target", target, "--grid", "1000"]) == EXIT_VALIDATION
         assert "above the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["one-step", "cross-basis"])
+    @pytest.mark.parametrize("eps1", ["0.9", "nan"])
+    def test_eps1_outside_its_band_rejected(self, target, eps1, capsys):
+        """The cross-basis scan reads only eps0, but eps1 is validated for it too."""
+        assert main(["verify", "--target", target, "--eps1", eps1, "--grid", "3"]) == (
+            EXIT_VALIDATION
+        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: eps1={float(eps1)!r} outside [0, 0.5]\n"
+
 
 class TestSimulateCommand:
     def test_flags_only(self):
@@ -458,6 +493,25 @@ class TestSimulateCommand:
         assert lines[0] == "lambda0,lambda1,x0,x1,y,bob_bit,sifted,eve_guess"
         assert len(lines) == 1 + 50
         assert json.loads(out.read_text())["result"]["n_pulses"] == 50
+
+    def test_benchmark_pulses_run_matches_the_recorded_checksum(self, tmp_path):
+        out = tmp_path / "pulses.json"
+        assert main([*PULSES_ARGS, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["manifest"]["checksum"] == PULSES_CHECKSUM
+        assert checksum_of(canonical_json(doc["result"])) == PULSES_CHECKSUM
+
+    def test_benchmark_transcript_run_matches_the_recorded_checksums(self, tmp_path):
+        values, recorded = TRANSCRIPT_TIED_SORT
+        order = np.argsort([float.fromhex(v) for v in values]).tolist()
+        if order != recorded:
+            pytest.skip(f"np.argsort orders ties as {order} here, {recorded} when recorded")
+        out, dump = tmp_path / "transcript.json", tmp_path / "transcript.csv"
+        assert main([*TRANSCRIPT_ARGS, "--dump-pulses", str(dump), "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["manifest"]["checksum"] == TRANSCRIPT_CHECKSUM
+        assert checksum_of(canonical_json(doc["result"])) == TRANSCRIPT_CHECKSUM
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == TRANSCRIPT_DUMP_SHA256
 
     def test_determinism_across_runs(self):
         first = run_cli("simulate", "--pulses", "3000", "--seed", "42")
