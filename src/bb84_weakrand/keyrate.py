@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InfeasibilityError, ValidationError
-from .quantum_core import PROB_ATOL, binary_entropy, check_prob
+from .probability import PROB_ATOL, binary_entropy, check_prob
 
 PHASE_BAND_TOL = 1e-9
 

@@ -46,7 +46,7 @@ from .keyrate import (
     phase_gap_bound,
     two_step_worst_scenario,
 )
-from .quantum_core import binary_entropy
+from .probability import binary_entropy
 
 PENALTY_BASE = 1e3
 PENALTY_CAP = 1e6

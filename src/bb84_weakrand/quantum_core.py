@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+# binary_entropy is re-exported: quantum_core.binary_entropy is the one
+# function of the numpy-free probability module.
+from .probability import PROB_ATOL, binary_entropy, check_prob
 
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
-PROB_ATOL = 1e-12
 
 # Single-qubit operators.  Channel operators act on the second
 # (transmitted) tensor factor only.
@@ -26,16 +28,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
-
-def check_prob(name: str, value: float, upper: float = 1.0) -> float:
-    """``value`` clamped into [0, upper], which absorbs rounding within PROB_ATOL.
-
-    A value further outside raises ValidationError naming ``name``.
-    """
-    if not -PROB_ATOL <= value <= upper + PROB_ATOL:
-        raise ValidationError(f"{name}={value!r} outside [0, {upper:g}]")
-    return min(max(value, 0.0), upper)
 
 
 def _bell_vector(i: int, j: int, sign: float) -> np.ndarray:
@@ -155,18 +147,6 @@ _RECTILINEAR_OPS = tuple(np.kron(IDENTITY_2, op) for op in _PAULI_PRODUCTS)
 _DIAGONAL_OPS = tuple(
     np.kron(IDENTITY_2, HADAMARD @ op @ HADAMARD) for op in _PAULI_PRODUCTS
 )
-
-
-def binary_entropy(e: float) -> float:
-    """Binary Shannon entropy h(e) in bits, with h(0) = h(1) = 0.
-
-    Inputs within 1e-12 of the [0, 1] bounds are clamped to the exact
-    bound; anything further out raises ValidationError.
-    """
-    e = check_prob("binary_entropy argument", e)
-    if e == 0.0 or e == 1.0:
-        return 0.0
-    return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
 
 
 def build_source_state(p0: float) -> TwoQubitState:

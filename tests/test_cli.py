@@ -309,6 +309,31 @@ class TestSweepCommand:
         capsys.readouterr()
 
 
+class TestNumpyFreeCommands:
+    def test_closed_form_commands_do_not_import_numpy(self):
+        """Importing the package, sweeps and the closed-form rates need no numpy."""
+        argvs = [
+            ["rate", "--method", "one-step", "--qber", "0.02", "--eps1", "0.1"],
+            ["rate", "--method", "strong", "--p", "0.9", "--s", "1", "--f", "1.1", "--e", "0.02"],
+            ["sweep", "--qber", "0:0.05:0.01", "--dev", "0,0.1", "--method", "one-step"],
+            ["sweep", "--qber", "0:0.12:0.01", "--dev", "0,0", "--dev", "0,0.1",
+             "--dev", "0.1,0.1", "--method", "one-step", "--method", "two-step", "--seed", "1"],
+        ]
+        code = (
+            "import sys\n"
+            "import bb84_weakrand\n"
+            "assert 'numpy' not in sys.modules, 'import bb84_weakrand'\n"
+            "from bb84_weakrand.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv + ['--out', '-']) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestVerifyCommand:
     def test_one_step_passes(self):
         proc = run_cli(

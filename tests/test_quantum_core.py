@@ -71,6 +71,33 @@ class TestBinaryEntropy:
         assert binary_entropy(-1e-13) == 0.0
         assert binary_entropy(1.0 + 1e-13) == 0.0
 
+    # Recorded from the definition that ran check_prob on every input: the
+    # direct path for 0 < e < 1 gives the same bits.
+    @pytest.mark.parametrize(
+        "e, bits",
+        [
+            (-1e-13, "0x0.0p+0"),
+            (0.0, "0x0.0p+0"),
+            (-0.0, "0x0.0p+0"),
+            (5e-324, "0x0.0000000000432p-1022"),
+            (0.02, "0x1.21ab94445d6c3p-3"),
+            (0.5, "0x1.0000000000000p+0"),
+            (1.0 - 2.0**-53, "0x1.b38aa3b295c18p-48"),
+            (1.0, "0x0.0p+0"),
+            (1.0 + 1e-13, "0x0.0p+0"),
+        ],
+    )
+    def test_recorded_bits(self, e, bits):
+        value = binary_entropy(e)
+        assert type(value) is float
+        assert value.hex() == bits
+
+    @pytest.mark.parametrize("e", [-2e-12, 1.5, math.nan, math.inf, -math.inf])
+    def test_outside_the_tolerance_raises(self, e):
+        with pytest.raises(ValidationError) as info:
+            binary_entropy(e)
+        assert str(info.value) == f"binary_entropy argument={e!r} outside [0, 1]"
+
     def test_out_of_range_names_value(self):
         with pytest.raises(ValidationError, match="-0.2"):
             binary_entropy(-0.2)
