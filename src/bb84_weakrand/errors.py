@@ -1,8 +1,12 @@
-"""Exception types shared across the package, and the memory budget its caps enforce."""
+"""Exception types shared across the package, and the budgets its caps enforce."""
 
 # Each cap on an input that sizes an allocation (sweep rows, simplex rows)
 # is this budget over a measured bytes-per-item.
 MEMORY_BUDGET = 4 * 2**30
+
+# Each cap on an input that sizes a run's time but not its memory
+# (simulated pulses) is this budget, one day, times a measured throughput.
+TIME_BUDGET_S = 24 * 3600
 
 
 class ValidationError(ValueError):

@@ -269,6 +269,11 @@ def worst_case_phase_error(
     """
     lo = sum(w * max(0.0, c - gap) for w, c in zip(weights, cross_bits))
     hi = sum(w * min(1.0, c + gap) for w, c in zip(weights, cross_bits))
+    return _nearest_half(lo, hi)
+
+
+def _nearest_half(lo: float, hi: float) -> float:
+    """The point of the interval ``[lo, hi]`` nearest 1/2: the worst phase error."""
     if lo <= 0.5 <= hi:
         return 0.5
     return hi if hi < 0.5 else lo
@@ -410,7 +415,7 @@ def two_step_worst_scenario(q: float, dev: DeviationParams) -> TwoStepScenario:
     bands = [(max(0.0, c - gap), min(1.0, c + gap)) for c in (u, t)]
     lo = low * bands[0][0] + high * bands[1][0]
     hi = low * bands[0][1] + high * bands[1][1]
-    worst = min(max(0.5, lo), hi)
+    worst = _nearest_half(lo, hi)
     fraction = (worst - lo) / (hi - lo) if hi > lo else 0.0
     phase_u, phase_t = (a + fraction * (b - a) for a, b in bands)
     hv = HiddenVariableModel(

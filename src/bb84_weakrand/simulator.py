@@ -26,7 +26,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import InsufficientDataError, ValidationError
+from .errors import TIME_BUDGET_S, InsufficientDataError, ValidationError
 from .keyrate import HiddenVariableModel, one_step_rate
 from .output import MAX_SEED
 from .quantum_core import PauliChannel
@@ -35,6 +35,14 @@ from .quantum_core import PauliChannel
 # pulses 2**14 ran as fast as 2**16 and peaked 5 MB lower, and 2**18 and
 # above were slower.
 CHUNK_PULSES = 2**14
+
+# Pulses per second that a run without a dump draws and tallies: 4M pulses
+# took 0.13 s in-process on an idle 2-vCPU Xeon and 0.25 s on a loaded one
+# (Python 3.11, numpy 2.4).  The loaded rate keeps the cap within budget.
+PULSES_PER_S = 16_000_000
+# The largest run that fits TIME_BUDGET_S at that rate, rounded down to a
+# power of two: 2**40 pulses, about 19 hours.  A dump makes a run slower.
+MAX_PULSES = 1 << ((TIME_BUDGET_S * PULSES_PER_S).bit_length() - 1)
 
 # Columns of the per-pulse dump; ``eve_guess`` is empty without an attacker.
 DUMP_HEADER = ("lambda0", "lambda1", "x0", "x1", "y", "bob_bit", "sifted", "eve_guess")
@@ -66,6 +74,11 @@ class SimConfig:
     def __post_init__(self):
         if self.n_pulses < 1:
             raise ValidationError(f"n_pulses={self.n_pulses!r} must be at least 1")
+        if self.n_pulses > MAX_PULSES:
+            raise ValidationError(
+                f"n_pulses={self.n_pulses!r} is above the cap of {MAX_PULSES} pulses, "
+                f"the run that fits a {TIME_BUDGET_S // 3600}-hour time budget"
+            )
         if not 0.0 <= self.bob_basis_prob <= 1.0:
             raise ValidationError(
                 f"bob_basis_prob={self.bob_basis_prob!r} outside [0, 1]"
@@ -134,52 +147,70 @@ def _qber_with_error(n_errors: int, n_sifted: int) -> tuple[float, float]:
     return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n_sifted))
 
 
-def _run_pulses(cfg: SimConfig, rng: np.random.Generator, k: int) -> dict:
+def _run_pulses(cfg: SimConfig, rng: np.random.Generator, k: int, buf: np.ndarray) -> dict:
     """Draw and play out the next ``k`` pulses of the run's stream.
 
-    Returns the pulses' columns by ``DUMP_HEADER`` name; ``eve_guess`` is
-    None without an attacker.
+    The ``k`` rows of draws go into ``buf[:k]``, a float64 buffer of
+    ``_DRAWS_PER_PULSE`` columns that the caller reuses chunk after
+    chunk; they are the values, in the order, of ``rng.random((k, 8))``.
+    Each outcome is a bool column of threshold comparisons, and every
+    choice between two columns is bit logic, ``(c & a) | (b & ~c)``:
+    ``np.where`` on bools costs tens of times more per pulse.
+
+    Returns the pulses' columns by ``DUMP_HEADER`` name, as 0/1 int8
+    views of those bool columns, none of which shares memory with
+    ``buf``; ``eve_guess`` is None without an attacker.
     """
-    u = rng.random((k, _DRAWS_PER_PULSE))
+    u = buf[:k]
+    rng.random(out=u)
     hv = cfg.hv
 
-    lambda0 = (u[:, _COL_L0] >= hv.p_lambda0).astype(np.int8)
-    lambda1 = (u[:, _COL_L1] >= hv.p_lambda1).astype(np.int8)
-    p_bit0 = np.where(lambda0 == 0, hv.p_x0_given_l0[0], hv.p_x0_given_l0[1])
-    p_basis0 = np.where(lambda1 == 0, hv.p_x1_given_l1[0], hv.p_x1_given_l1[1])
-    x0 = (u[:, _COL_X0] >= p_bit0).astype(np.int8)
-    x1 = (u[:, _COL_X1] >= p_basis0).astype(np.int8)
-    y = (u[:, _COL_Y] >= cfg.bob_basis_prob).astype(np.int8)
+    # A column compared more than once is copied out of the row-major
+    # buffer first: one strided pass costs more than the copy.
+    bit_draw, basis_draw, channel = (u[:, col].copy() for col in (_COL_X0, _COL_X1, _COL_CHAN))
+    lambda0 = u[:, _COL_L0] >= hv.p_lambda0
+    lambda1 = u[:, _COL_L1] >= hv.p_lambda1
+    x0 = _pick(lambda0, *(bit_draw >= p for p in hv.p_x0_given_l0))
+    x1 = _pick(lambda1, *(basis_draw >= p for p in hv.p_x1_given_l1))
+    y = u[:, _COL_Y] >= cfg.bob_basis_prob
 
-    # Channel operator per pulse: 0=I, 1=Z, 2=X, 3=XZ.
-    thresholds = np.cumsum(cfg.channel.probabilities())
-    op = np.searchsorted(thresholds, u[:, _COL_CHAN], side="right").astype(np.int8)
-    op = np.minimum(op, 3)
-    flip_rec = (op >= 2).astype(np.int8)
-    flip_dia = (op % 2).astype(np.int8)
-    flip = np.where(x1 == 0, flip_rec, flip_dia)
-    travelling_bit = x0 ^ flip
+    # Channel operator per pulse: I, Z, X or XZ as the draw passes none,
+    # one, two or all three of the probabilities' running sums t.  X and
+    # XZ flip rectilinear bits (u >= t1); Z and XZ flip diagonal ones.
+    t0, t1, t2, _ = np.cumsum(cfg.channel.probabilities())
+    flip_rec = channel >= t1
+    flip_dia = ((channel >= t0) & ~flip_rec) | (channel >= t2)
+    travelling_bit = x0 ^ _pick(x1, flip_rec, flip_dia)
 
-    mismatch_bit = (u[:, _COL_MISMATCH] < 0.5).astype(np.int8)
+    mismatch_bit = u[:, _COL_MISMATCH] < 0.5
+    sifted = ~(x1 ^ y)
 
     if cfg.attacker is Attacker.NONE:
-        bob_bit = np.where(y == x1, travelling_bit, mismatch_bit).astype(np.int8)
+        bob_bit = _pick(sifted, mismatch_bit, travelling_bit)
         eve_guess = None
     else:
-        eve_basis = np.where(
-            lambda1 == 0,
-            predicted_basis(hv, 0),
-            predicted_basis(hv, 1),
-        ).astype(np.int8)
-        eve_random = (u[:, _COL_EVE] < 0.5).astype(np.int8)
-        eve_guess = np.where(eve_basis == x1, travelling_bit, eve_random).astype(np.int8)
+        # Eve's basis given lambda1, as a column: predicted_basis is a
+        # constant per hidden value.
+        eve_basis = _pick(lambda1, *(predicted_basis(hv, lam) == 1 for lam in (0, 1)))
+        eve_random = u[:, _COL_EVE] < 0.5
+        eve_guess = _pick(~(eve_basis ^ x1), eve_random, travelling_bit)
         # Eve resends her outcome in her own basis; Bob reads it exactly
         # when his basis matches hers and uniformly otherwise.
-        bob_bit = np.where(y == eve_basis, eve_guess, mismatch_bit).astype(np.int8)
+        bob_bit = _pick(~(y ^ eve_basis), mismatch_bit, eve_guess)
 
-    sifted = x1 == y
     columns = (lambda0, lambda1, x0, x1, y, bob_bit, sifted, eve_guess)
-    return dict(zip(DUMP_HEADER, columns))
+    return {
+        name: None if column is None else column.view(np.int8)
+        for name, column in zip(DUMP_HEADER, columns)
+    }
+
+
+def _pick(choice: np.ndarray, if_false, if_true) -> np.ndarray:
+    """``np.where(choice, if_true, if_false)`` on bools, as bit logic.
+
+    Either branch may be a bool column or a Python bool.
+    """
+    return (choice & if_true) | (if_false & ~choice)
 
 
 def _tally(run: dict) -> np.ndarray:
@@ -228,8 +259,9 @@ def _derive_rates(qber: float, hv: HiddenVariableModel) -> dict | None:
 def simulate(cfg: SimConfig, dump: TextIO | None = None) -> SimReport:
     """Run the protocol and aggregate a report; deterministic given the seed.
 
-    Pulses are drawn and reduced ``CHUNK_PULSES`` at a time, so memory
-    does not grow with ``n_pulses``: only integer counts outlive a chunk.
+    Pulses are drawn and reduced ``CHUNK_PULSES`` at a time into one
+    reused draw buffer, so memory does not grow with ``n_pulses``: only
+    integer counts outlive a chunk.
     When ``dump`` is a text handle, the ``DUMP_HEADER`` line and one CSV
     row per pulse are written to it as the chunks go.  The dump is
     therefore complete even when the run then raises
@@ -239,11 +271,15 @@ def simulate(cfg: SimConfig, dump: TextIO | None = None) -> SimReport:
     if dump is not None:
         dump.write(",".join(DUMP_HEADER) + "\n")
     totals = np.zeros(9, dtype=np.int64)
+    buf = np.empty((min(CHUNK_PULSES, cfg.n_pulses), _DRAWS_PER_PULSE))
     for start in range(0, cfg.n_pulses, CHUNK_PULSES):
-        run = _run_pulses(cfg, rng, min(CHUNK_PULSES, cfg.n_pulses - start))
+        run = _run_pulses(cfg, rng, min(CHUNK_PULSES, cfg.n_pulses - start), buf)
         totals += _tally(run)
         if dump is not None:
             dump.write(_dump_rows(run))
+    # The derived-rate solve sets the run's peak memory; the last chunk's
+    # arrays need not be part of it.
+    del buf, run
     n_sifted, n_errors, n_rec, n_dia, rec_errors, dia_errors, agreements, x0_zero, x1_zero = (
         int(count) for count in totals
     )

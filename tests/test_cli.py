@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from bb84_weakrand import cli, optimizer
+from bb84_weakrand import cli, optimizer, simulator
 from bb84_weakrand.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -429,6 +429,28 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--config", str(cfg))
         assert proc.returncode == EXIT_VALIDATION
         assert "'eve'" in proc.stderr and "intercept-resend-with-hints" in proc.stderr
+
+    def test_pulses_over_the_cap_exit_before_any_file_is_opened(self, tmp_path, capsys):
+        """A run too long for the time budget exits 2 at once: no draw, no
+        dump and no report file."""
+        dump, out = tmp_path / "pulses.csv", tmp_path / "report.json"
+        argv = ["simulate", "--pulses", "99999999999999999999", "--seed", "1",
+                "--dump-pulses", str(dump), "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n_pulses=99999999999999999999 is above the cap of 1099511627776 "
+            "pulses, the run that fits a 24-hour time budget\n"
+        )
+        assert not dump.exists() and not out.exists()
+
+    def test_pulses_at_the_cap_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(simulator, "MAX_PULSES", 1000)
+        assert main(["simulate", "--pulses", "1000", "--seed", "1"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["result"]["n_pulses"] == 1000
+        assert main(["simulate", "--pulses", "1001", "--seed", "1"]) == EXIT_VALIDATION
+        assert "above the cap of 1000 pulses" in capsys.readouterr().err
 
     def test_unknown_attacker_flag_rejected(self, capsys):
         argv = ["simulate", "--pulses", "100", "--seed", "1", "--attacker", "eve"]

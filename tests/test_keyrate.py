@@ -1,5 +1,7 @@
 """Tests for the closed-form rate calculators and scenario evaluation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,11 @@ class TestWorstCasePhaseError:
             0.8, abs=1e-15
         )
 
+    @pytest.mark.parametrize("cross_bits", [(0.4, 0.5), (0.5, 0.6)])
+    def test_interval_edge_at_half_takes_half(self, cross_bits):
+        """An interval whose upper or lower edge is exactly 1/2 gives 1/2."""
+        assert worst_case_phase_error((0.5, 0.5), cross_bits, 0.05) == 0.5
+
 
 # The attaining scenario's check grid: q in steps of 0.005 and eps1 in
 # steps of 1/16, both ends included (3,636 points).
@@ -380,6 +387,18 @@ class TestTwoStepWorstScenario:
             worst_gap = max(worst_gap, abs(worst - closed), abs(stored - closed))
         assert worst_residual <= 1e-15
         assert worst_gap <= 1e-15
+
+    def test_grid_bits_are_recorded(self):
+        """sha256 of every error rate's float.hex on the grid, in grid order,
+        recorded when the worst phase was an inline ``min(max(1/2, lo), hi)``."""
+        digest = hashlib.sha256()
+        for q, eps0, eps1 in CLOSED_FORM_GRID:
+            scenario = two_step_worst_scenario(q, DeviationParams(eps0, eps1)).to_dict()
+            for name in ("e_b00", "e_b01", "e_b10", "e_b11", "e_p00", "e_p01", "e_p10", "e_p11"):
+                digest.update(scenario[name].hex().encode())
+        assert digest.hexdigest() == (
+            "6514905ab4c4f048ac07bf631f6425671e63416b2505910819b58077ab6b2f12"
+        )
 
     def test_both_regimes_are_on_the_grid(self):
         """Some points have q r <= 1/2 (u = 0) and some a cross-basis average of 1/2."""

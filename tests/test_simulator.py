@@ -1,13 +1,16 @@
 """Tests for the pulse-level protocol simulation."""
 
+import dataclasses
 import io
+import itertools
 import math
 
 import numpy as np
+import pulses_reference
 import pytest
 
 from bb84_weakrand import simulator
-from bb84_weakrand.errors import InsufficientDataError, ValidationError
+from bb84_weakrand.errors import TIME_BUDGET_S, InsufficientDataError, ValidationError
 from bb84_weakrand.keyrate import HiddenVariableModel
 from bb84_weakrand.output import canonical_json, csv_text
 from bb84_weakrand.quantum_core import (
@@ -20,6 +23,7 @@ from bb84_weakrand.simulator import (
     DUMP_HEADER,
     Attacker,
     SimConfig,
+    _dump_rows,
     _qber_with_error,
     _run_pulses,
     _tally,
@@ -351,7 +355,8 @@ class TestDump:
             bob_basis_prob=0.4,
             attacker=attacker,
         )
-        run = _run_pulses(cfg, np.random.default_rng(cfg.seed), cfg.n_pulses)
+        buf = np.empty((cfg.n_pulses, 8))
+        run = _run_pulses(cfg, np.random.default_rng(cfg.seed), cfg.n_pulses, buf)
         columns = [
             [None] * cfg.n_pulses if run[name] is None else run[name].tolist()
             for name in DUMP_HEADER
@@ -393,6 +398,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             config(n_pulses=0)
 
+    def test_pulse_cap_is_a_day_at_the_measured_rate(self):
+        assert simulator.MAX_PULSES == 2**40
+        budget_pulses = TIME_BUDGET_S * simulator.PULSES_PER_S
+        assert simulator.MAX_PULSES <= budget_pulses < 2 * simulator.MAX_PULSES
+
+    def test_pulse_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_PULSES", 10)
+        assert config(n_pulses=10).n_pulses == 10
+        with pytest.raises(ValidationError, match="n_pulses=11 is above the cap of 10 pulses"):
+            config(n_pulses=11)
+
     def test_seed_range(self):
         with pytest.raises(ValidationError):
             config(seed=-1)
@@ -411,3 +427,106 @@ class TestValidation:
         assert config(attacker="intercept-resend-with-hints").attacker is (
             Attacker.INTERCEPT_RESEND_WITH_HINTS
         )
+
+
+# Corner grid of the reference check: every channel vertex and channels
+# with zero probabilities; hidden-variable probabilities of exactly 0
+# and 1, and basis probabilities of 1/2, where Eve's prediction ties.
+CORNER_CHANNELS = [
+    PauliChannel(1.0, 0.0, 0.0, 0.0),
+    PauliChannel(0.0, 1.0, 0.0, 0.0),
+    PauliChannel(0.0, 0.0, 1.0, 0.0),
+    PauliChannel(0.0, 0.0, 0.0, 1.0),
+    PauliChannel(0.5, 0.0, 0.5, 0.0),
+    PauliChannel(0.0, 0.25, 0.0, 0.75),
+    PauliChannel(0.85, 0.05, 0.06, 0.04),
+]
+CORNER_MODELS = [
+    HiddenVariableModel.balanced(),
+    HiddenVariableModel(0.0, 1.0, (0.0, 1.0), (1.0, 0.0)),
+    HiddenVariableModel(1.0, 0.0, (1.0, 0.0), (0.0, 1.0)),
+    HiddenVariableModel(0.3, 0.6, (0.7, 0.4), (0.5, 0.45)),
+    HiddenVariableModel(0.3, 0.6, (0.7, 0.4), (0.65, 0.45)),
+]
+CORNER_GRID = [
+    config(n_pulses=simulator.CHUNK_PULSES + 8, hv=hv, channel=channel,
+           bob_basis_prob=bob, attacker=attacker)
+    for channel, hv, bob, attacker in itertools.product(
+        CORNER_CHANNELS, CORNER_MODELS, (0.0, 0.4, 1.0), list(Attacker)
+    )
+]
+
+
+class ThresholdStream:
+    """Stands in for a generator's ``random``, drawing only the config's
+    thresholds, the float just below each, 0 and 1/2, so every
+    comparison meets its ties.  Two streams of one config draw alike."""
+
+    def __init__(self, cfg: SimConfig):
+        hv = cfg.hv
+        edges = {0.0, 0.5, hv.p_lambda0, hv.p_lambda1, cfg.bob_basis_prob,
+                 *hv.p_x0_given_l0, *hv.p_x1_given_l1,
+                 *np.cumsum(cfg.channel.probabilities()).tolist()}
+        below = {np.nextafter(edge, 0.0) for edge in edges}
+        self.pool = np.array(sorted(value for value in edges | below if value < 1.0))
+        self.rng = np.random.default_rng(cfg.seed)
+
+    def random(self, size=None, out=None):
+        values = self.pool[self.rng.integers(len(self.pool), size=size or out.shape)]
+        if out is None:
+            return values
+        out[...] = values
+        return out
+
+
+class TestReferencePlayOut:
+    """The bit-logic play-out gives the ``np.where`` reference's columns,
+    counts and dump bytes from the same stream."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, simulator.CHUNK_PULSES + 3])
+    @pytest.mark.parametrize("stream", ["generator", "thresholds"])
+    def test_columns_tallies_and_rows_match(self, chunk, stream):
+        for cfg in CORNER_GRID:
+            if chunk < 8:  # a chunk of one pulse costs a call; keep it short
+                cfg = dataclasses.replace(cfg, n_pulses=20)
+            rng, reference_rng = (
+                np.random.default_rng(cfg.seed) if stream == "generator" else ThresholdStream(cfg)
+                for _ in range(2)
+            )
+            # One draw buffer for every chunk, as ``simulate`` reuses it.
+            buf = np.empty((min(chunk, cfg.n_pulses), 8))
+            for start in range(0, cfg.n_pulses, chunk):
+                k = min(chunk, cfg.n_pulses - start)
+                run = _run_pulses(cfg, rng, k, buf)
+                reference = pulses_reference._run_pulses(cfg, reference_rng, k)
+                for name in DUMP_HEADER:
+                    if reference[name] is None:
+                        assert run[name] is None, (name, cfg)
+                    else:
+                        assert run[name].dtype == np.int8, (name, cfg)
+                        assert np.array_equal(run[name], reference[name]), (name, cfg)
+                assert _tally(run).tolist() == pulses_reference._tally(reference).tolist(), cfg
+                assert _dump_rows(run) == _dump_rows(reference), cfg
+
+    @pytest.mark.parametrize("chunk", [1, 7, simulator.CHUNK_PULSES + 3])
+    @pytest.mark.parametrize("attacker", list(Attacker))
+    def test_simulate_dump_matches(self, chunk, attacker, monkeypatch):
+        """``simulate``'s dump and counts at any chunk size, against the
+        reference run over the whole stream in one chunk."""
+        cfg = config(
+            n_pulses=60 if chunk < 8 else 2 * chunk + 5,
+            hv=HiddenVariableModel(0.3, 0.6, (0.7, 0.4), (0.5, 0.45)),
+            channel=PauliChannel(0.85, 0.05, 0.06, 0.04),
+            bob_basis_prob=0.4,
+            attacker=attacker,
+        )
+        reference = pulses_reference._run_pulses(
+            cfg, np.random.default_rng(cfg.seed), cfg.n_pulses
+        )
+        counts = pulses_reference._tally(reference).tolist()
+        monkeypatch.setattr(simulator, "CHUNK_PULSES", chunk)
+        report, text = dumped(cfg)
+        assert text == ",".join(DUMP_HEADER) + "\n" + _dump_rows(reference)
+        assert report.sifted_count == counts[0]
+        assert report.basis_counts == (counts[2], counts[3])
+        assert report.qber_estimate == counts[1] / counts[0]
