@@ -4,14 +4,19 @@ Channels are enumerated over an exact probability-simplex grid (integer
 compositions, so every vertex is covered) and the biased-choice
 probabilities over their deviation bands with endpoints always
 included.  Error rates come from first principles through
-:mod:`bb84_weakrand.quantum_core`, and two linearities keep the scan
+:mod:`bb84_weakrand.quantum_core`, and three linearities keep the scan
 fast without approximating anything.  The output state and its Bell
 projections are linear in the channel, so the rates of the whole
-simplex follow from the four one-operator channels: one mat-vec per band
-point.  The state is also linear in the basis probability, so each
-channel's basis band is mixed from its two basis outputs, built once per
-bit probability, with ``apply_channel``'s own operations in its order
-(the same bits).  Every band state is validated as a density matrix.
+simplex follow from the four one-operator channels: at most one mat-vec
+per band point.  The state is also linear in the basis probability, so
+each channel's basis band is mixed from its two basis outputs, built
+once per bit probability, with ``apply_channel``'s own operations in its
+order (the same bits).  And a value linear in the channel is at most its
+largest vertex value, which the grid holds exactly: a band point whose
+best one-operator gap stays below the best of all band points cannot
+hold the maximum, so its mat-vec is skipped (:func:`_scan` bounds the
+rounding).  Every band state is still built and validated as a density
+matrix.
 """
 
 from __future__ import annotations
@@ -29,14 +34,14 @@ from .quantum_core import (
     bell_error_rates,
     build_source_state,
     check_density_matrices,
-    error_rates,
 )
 
 VIOLATION_TOL = 1e-9
 
 # A scan holds about SIMPLEX_BYTES_PER_ROW bytes per simplex row at its
-# peak (the row tuples, the float grid, its scaled copy and the gap
-# vectors; the slope of peak RSS over grids of 100 to 250).
+# peak (the integer compositions while the float grid is built, then the
+# float grid and the values of one mat-vec; the slope of peak RSS over
+# grids of 100 to 250).
 # MAX_SIMPLEX_ROWS keeps a scan within MEMORY_BUDGET.
 SIMPLEX_BYTES_PER_ROW = 120
 MAX_SIMPLEX_ROWS = MEMORY_BUDGET // SIMPLEX_BYTES_PER_ROW
@@ -145,14 +150,40 @@ def _scan(
 
     ``cases`` yields ``(gap, where)``: the gaps of the four one-operator
     channels and the band coordinates they belong to.  It is only read
-    after ``grid_res`` is checked.  ``points`` counts its band points.
+    after ``grid_res`` is checked.  ``points`` counts its band points,
+    and ``points_checked`` every row of every case: each is either
+    evaluated or bounded below the maximum as follows.
+
+    Only a case that can hold the maximum runs its mat-vec.  Each simplex
+    vertex is a grid row exactly (``g / g`` is 1.0, ``0 / g`` is 0.0), and
+    its value is ``gap[i]`` bit for bit, so the scan reaches ``floor``,
+    the largest ``top = max(gap)`` (``max|gap|`` when ``absolute``) of
+    any case.  Any row's entries are the weights ``k / g``, which sum to
+    1, each rounded once (relative error at most ``u = 2**-53``), and its
+    4-term dot product adds at most ``gamma_4 = 4u / (1 - 4u)`` in any summation
+    order, with or without FMA.  So a rounded value (or its magnitude)
+    is at most ``top + 5.01u * max|gap|``.  ``slack = 1e-12 * max|gap|``
+    over all cases covers that and the rounding of ``top + slack`` by
+    orders of magnitude, so every row of a case with
+    ``top + slack < floor`` is below the final maximum.  The loop only
+    takes a strictly larger value, so the first case that reaches the
+    maximum still wins, at the same row, and skipping the others changes
+    neither value nor location.  When every gap is 0 the slack is 0 and
+    no case is skipped.
     """
     if grid_res < 3:
         raise ValidationError(f"grid_res must be at least 3, got {grid_res}")
     channels = simplex_grid(grid_res)
+    cases = list(cases)
+    gaps = np.array([gap for gap, _ in cases])
+    tops = (np.abs(gaps) if absolute else gaps).max(axis=1)
+    floor = float(tops.max())
+    slack = 1e-12 * float(np.abs(gaps).max())
     best = -np.inf
     location: dict = {}
-    for gap, where in cases:
+    for (gap, where), top in zip(cases, tops.tolist()):
+        if top + slack < floor:
+            continue
         values = channels @ gap
         if absolute:
             values = np.abs(values)
@@ -166,14 +197,6 @@ def _scan(
     return OracleReport(
         target, bound, best, best - bound, bound - best, location, len(channels) * points, grid_res
     )
-
-
-def evaluate_one_step_point(
-    channel: PauliChannel, p_bit0: float, p_basis0: float
-) -> float:
-    """e_phase - e_bit of the channel output state, built directly."""
-    pair = error_rates(apply_channel(build_source_state(p_bit0), channel, p_basis0))
-    return pair.e_phase - pair.e_bit
 
 
 def verify_one_step_bound(dev: DeviationParams, grid_res: int) -> OracleReport:
@@ -201,16 +224,6 @@ def _cross_basis_pure(p_bit0: float) -> tuple[np.ndarray, np.ndarray]:
     """
     in_rec, in_dia = _pure_rates(p_bit0, np.array([1.0, 0.0]))
     return in_rec[:, 1] - in_dia[:, 0], in_dia[:, 1] - in_rec[:, 0]
-
-
-def evaluate_cross_basis_point(
-    channel: PauliChannel, p_bit0: float
-) -> tuple[float, float]:
-    """Signed cross-basis gaps of one channel, built directly per basis."""
-    source = build_source_state(p_bit0)
-    in_rec = error_rates(apply_channel(source, channel, 1.0))
-    in_dia = error_rates(apply_channel(source, channel, 0.0))
-    return (in_rec.e_phase - in_dia.e_bit, in_dia.e_phase - in_rec.e_bit)
 
 
 def verify_cross_basis_bound(eps0: float, grid_res: int) -> OracleReport:

@@ -88,7 +88,7 @@ def check_density_matrices(matrices: np.ndarray) -> None:
     Each must be Hermitian and of unit trace within 1e-12, with no
     eigenvalue below the -1e-10 floor.
     """
-    if not np.allclose(matrices, matrices.conj().swapaxes(-1, -2), rtol=0.0, atol=HERMITIAN_ATOL):
+    if not _is_hermitian(matrices):
         raise ValidationError("density matrix is not Hermitian within 1e-12")
     trace = np.trace(matrices, axis1=-2, axis2=-1)
     off = np.abs(trace - 1.0) > TRACE_ATOL
@@ -99,6 +99,23 @@ def check_density_matrices(matrices: np.ndarray) -> None:
         raise ValidationError(
             f"density matrix eigenvalue {lowest} below the {PSD_EIGENVALUE_FLOOR} floor"
         )
+
+
+def _is_hermitian(matrices: np.ndarray) -> bool:
+    """``np.allclose(m, m^H, rtol=0, atol=1e-12)``, without its overhead when it passes.
+
+    On finite float or complex entries, ``|m - m^H| <= atol`` is what
+    ``isclose`` tests when ``rtol`` is 0.  A non-finite entry fails that
+    test (``inf - inf`` is NaN) and a stack of another dtype skips it
+    (bool cannot subtract, int can wrap); ``allclose`` decides those, so
+    the verdict, and any warning, is always its own.
+    """
+    adj = matrices.conj().swapaxes(-1, -2)
+    if matrices.dtype.kind in "fc":
+        with np.errstate(invalid="ignore", over="ignore"):
+            if bool((np.abs(matrices - adj) <= HERMITIAN_ATOL).all()):
+                return True
+    return np.allclose(matrices, adj, rtol=0.0, atol=HERMITIAN_ATOL)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle_reference
 from bb84_weakrand import bound_oracle
 from bb84_weakrand.errors import MEMORY_BUDGET, ValidationError
 from bb84_weakrand.bound_oracle import (
@@ -13,9 +14,8 @@ from bb84_weakrand.bound_oracle import (
     _PURE_CHANNELS,
     _cross_basis_pure,
     _pure_rates,
+    _scan,
     deviation_band,
-    evaluate_cross_basis_point,
-    evaluate_one_step_point,
     simplex_grid,
     verify_cross_basis_bound,
     verify_one_step_bound,
@@ -45,6 +45,24 @@ def algebraic_gap(q: PauliChannel, p_bit0: float, p_basis0: float) -> float:
     bias_gap = 0.5 - spread
     basis_factor = (2.0 * p_basis0 - 1.0) * (0.5 + spread)
     return bias_gap * (q.q00 - q.q11) + basis_factor * (q.q01 - q.q10)
+
+
+def evaluate_one_step_point(
+    channel: PauliChannel, p_bit0: float, p_basis0: float
+) -> float:
+    """e_phase - e_bit of the channel output state, built directly."""
+    pair = error_rates(apply_channel(build_source_state(p_bit0), channel, p_basis0))
+    return pair.e_phase - pair.e_bit
+
+
+def evaluate_cross_basis_point(
+    channel: PauliChannel, p_bit0: float
+) -> tuple[float, float]:
+    """Signed cross-basis gaps of one channel, built directly per basis."""
+    source = build_source_state(p_bit0)
+    in_rec = error_rates(apply_channel(source, channel, 1.0))
+    in_dia = error_rates(apply_channel(source, channel, 0.0))
+    return (in_rec.e_phase - in_dia.e_bit, in_dia.e_phase - in_rec.e_bit)
 
 
 def location_channel(location: dict) -> PauliChannel:
@@ -273,3 +291,114 @@ class TestSameBytes:
         )
         verify_one_step_bound(DeviationParams(0.1, 0.2), 5)
         assert checked == [(5, 4, 4, 4)] * 5
+
+
+def verify(target: str, eps0: float, eps1: float, grid: int):
+    if target == "one-step":
+        return verify_one_step_bound(DeviationParams(eps0, eps1), grid)
+    return verify_cross_basis_bound(eps0, grid)
+
+
+def hexed(report) -> dict:
+    """``to_dict()`` with every float spelled by ``float.hex``."""
+    def spell(value):
+        if isinstance(value, dict):
+            return {key: spell(item) for key, item in value.items()}
+        return value.hex() if isinstance(value, float) else value
+    return spell(report.to_dict())
+
+
+class CountingGrid(np.ndarray):
+    """A simplex grid that counts the mat-vecs run against it."""
+
+    matvecs = 0
+
+    def __matmul__(self, other):
+        CountingGrid.matvecs += 1
+        return np.asarray(self) @ other
+
+
+@pytest.fixture
+def counted_matvecs(monkeypatch):
+    """Make the oracle's simplex grids count their mat-vecs; returns the class."""
+    original = bound_oracle.simplex_grid
+    monkeypatch.setattr(
+        bound_oracle, "simplex_grid", lambda res: original(res).view(CountingGrid)
+    )
+    CountingGrid.matvecs = 0
+    return CountingGrid
+
+
+def unpruned(monkeypatch, target: str, eps0: float, eps1: float, grid: int):
+    """The report of the scan that runs every case's mat-vec."""
+    with monkeypatch.context() as patch:
+        patch.setattr(bound_oracle, "_scan", oracle_reference._scan)
+        return verify(target, eps0, eps1, grid)
+
+
+EDGE_EPS = (0.0, 0.01, 0.123, 0.25, 0.49, 0.5)
+
+
+class TestVertexBound:
+    """The pruned scan reports what the scan of every case reports."""
+
+    @pytest.mark.parametrize("grid", [3, 4, 5, 7, 10, 21])
+    @pytest.mark.parametrize("target", ["one-step", "cross-basis"])
+    def test_same_report_as_unpruned_scan(self, target, grid, monkeypatch):
+        eps1_values = EDGE_EPS if target == "one-step" else (None,)
+        for eps0 in EDGE_EPS:
+            for eps1 in eps1_values:
+                expected = hexed(unpruned(monkeypatch, target, eps0, eps1, grid))
+                assert hexed(verify(target, eps0, eps1, grid)) == expected, (eps0, eps1)
+
+    @pytest.mark.parametrize(
+        "target, eps0, eps1", [("one-step", 0.1, 0.0), ("cross-basis", 0.5, None)]
+    )
+    def test_tie_between_band_points_keeps_the_first(self, target, eps0, eps1, monkeypatch):
+        seen = []
+
+        def recording_scan(target, bound, grid_res, cases, points, absolute):
+            cases = list(cases)
+            channels = simplex_grid(grid_res)
+            for gap, where in cases:
+                values = channels @ gap
+                seen.append((float((np.abs(values) if absolute else values).max()), where))
+            return oracle_reference._scan(target, bound, grid_res, cases, points, absolute)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bound_oracle, "_scan", recording_scan)
+            expected = hexed(verify(target, eps0, eps1, 5))
+        top = max(value for value, _ in seen)
+        tied = {tuple(where.items()) for value, where in seen if value == top}
+        assert len(tied) >= 2
+        assert hexed(verify(target, eps0, eps1, 5)) == expected
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_tied_and_signed_gaps_match_unpruned_scan(self, absolute):
+        rng = np.random.default_rng(20)
+        levels = np.array([-0.3, -0.1, -0.0, 0.0, 0.1, 0.2, 0.3])
+        for trial in range(50):
+            gaps = rng.choice(levels, size=(int(rng.integers(1, 12)), 4))
+            cases = [(gap, {"case": k}) for k, gap in enumerate(gaps)]
+            args = ("synthetic", 0.25, int(rng.integers(3, 9)))
+            expected = oracle_reference._scan(*args, cases, len(cases), absolute)
+            assert hexed(_scan(*args, cases, len(cases), absolute)) == hexed(expected), trial
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_all_zero_gaps_skip_nothing(self, absolute, counted_matvecs):
+        cases = [(np.array([0.0, -0.0, 0.0, 0.0]), {"case": k}) for k in range(6)]
+        report = _scan("zero", 0.0, 7, cases, len(cases), absolute)
+        assert counted_matvecs.matvecs == len(cases)
+        expected = oracle_reference._scan("zero", 0.0, 7, cases, len(cases), absolute)
+        assert hexed(report) == hexed(expected)
+        assert report.max_gap_location["case"] == 0
+
+    @pytest.mark.parametrize(
+        "target, eps0, eps1, grid, cases",
+        [("one-step", 0.1, 0.1, 41, 41**2), ("cross-basis", 0.1, None, 81, 2 * 81)],
+    )
+    def test_bench_inputs_run_a_handful_of_matvecs(
+        self, target, eps0, eps1, grid, cases, counted_matvecs
+    ):
+        verify(target, eps0, eps1, grid)
+        assert 1 <= counted_matvecs.matvecs <= 4 < cases

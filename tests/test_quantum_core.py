@@ -8,6 +8,9 @@ import pytest
 from bb84_weakrand.errors import ValidationError
 from bb84_weakrand.quantum_core import (
     BELL,
+    HERMITIAN_ATOL,
+    PSD_EIGENVALUE_FLOOR,
+    TRACE_ATOL,
     ErrorRatePair,
     PauliChannel,
     TwoQubitState,
@@ -239,6 +242,80 @@ class TestErrorRates:
             )
 
 
+def allclose_check(matrices: np.ndarray) -> None:
+    """``check_density_matrices`` as written with ``np.allclose``: the reference verdict."""
+    if not np.allclose(matrices, matrices.conj().swapaxes(-1, -2), rtol=0.0, atol=HERMITIAN_ATOL):
+        raise ValidationError("density matrix is not Hermitian within 1e-12")
+    trace = np.trace(matrices, axis1=-2, axis2=-1)
+    off = np.abs(trace - 1.0) > TRACE_ATOL
+    if off.any():
+        raise ValidationError(f"density matrix trace {trace[off][0]} is not 1 within 1e-12")
+    lowest = float(np.linalg.eigvalsh(matrices)[..., 0].min())
+    if lowest < PSD_EIGENVALUE_FLOOR:
+        raise ValidationError(
+            f"density matrix eigenvalue {lowest} below the {PSD_EIGENVALUE_FLOOR} floor"
+        )
+
+
+def outcome(check, matrices) -> tuple:
+    """("ok",) or the type and message of what ``check`` raised."""
+    try:
+        check(matrices)
+    except Exception as exc:  # the verdict includes non-validation errors
+        return type(exc), str(exc)
+    return ("ok",)
+
+
+def quarter_identity_with(entries: dict, dtype=complex) -> np.ndarray:
+    """I/4 with the ``{(row, column): value}`` entries set."""
+    m = np.eye(4, dtype=dtype) / 4
+    for index, value in entries.items():
+        m[index] = value
+    return m
+
+
+def wrapping_int_state() -> np.ndarray:
+    """A unit-trace int64 matrix whose m - m^H would wrap to a small value."""
+    m = np.zeros((4, 4), dtype=np.int64)
+    m[0, 0] = 1
+    m[0, 1] = np.iinfo(np.int64).min
+    return m
+
+
+INF, NAN, ABOVE_ATOL = np.inf, np.nan, np.nextafter(HERMITIAN_ATOL, 1.0)
+HOSTILE_STACKS = {
+    "nan-off-diagonal": lambda: quarter_identity_with({(0, 1): NAN}),
+    "nan-at-conjugate-positions": lambda: quarter_identity_with({(0, 1): NAN, (1, 0): NAN}),
+    "nan-on-diagonal": lambda: quarter_identity_with({(2, 2): NAN}),
+    "inf-at-conjugate-positions": lambda: quarter_identity_with({(0, 1): INF, (1, 0): INF}),
+    "minus-inf-at-conjugate-positions": lambda: quarter_identity_with(
+        {(0, 3): -INF, (3, 0): -INF}
+    ),
+    "complex-inf-at-conjugate-positions": lambda: quarter_identity_with(
+        {(1, 2): complex(INF, INF), (2, 1): complex(INF, -INF)}
+    ),
+    "imaginary-inf-at-conjugate-positions": lambda: quarter_identity_with(
+        {(0, 1): complex(0.0, INF), (1, 0): complex(0.0, -INF)}
+    ),
+    "inf-at-one-position": lambda: quarter_identity_with({(0, 1): INF}),
+    "inf-on-diagonal": lambda: quarter_identity_with({(0, 0): INF}),
+    "overflowing-difference": lambda: quarter_identity_with(
+        {(0, 1): 1.7e308, (1, 0): -1.7e308}
+    ),
+    "asymmetry-at-atol": lambda: quarter_identity_with({(0, 1): HERMITIAN_ATOL}),
+    "asymmetry-above-atol": lambda: quarter_identity_with({(0, 1): ABOVE_ATOL}),
+    "imaginary-asymmetry-at-atol": lambda: quarter_identity_with({(2, 3): 1j * HERMITIAN_ATOL}),
+    "imaginary-asymmetry-above-atol": lambda: quarter_identity_with({(2, 3): 1j * ABOVE_ATOL}),
+    "real-stack-above-atol": lambda: quarter_identity_with({(0, 1): ABOVE_ATOL}, float),
+    "empty-stack": lambda: np.zeros((0, 4, 4), dtype=complex),
+    "stack-with-one-nan": lambda: np.stack(
+        [quarter_identity_with({}), quarter_identity_with({(3, 3): NAN})]
+    ),
+    "int-stack-that-wraps": wrapping_int_state,
+    "bool-stack": lambda: np.diag([True, False, False, False])[None],
+}
+
+
 class TestTypeValidation:
     def test_channel_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="sum"):
@@ -278,6 +355,16 @@ class TestTypeValidation:
         stack[1, 2] = bad
         with pytest.raises(ValidationError, match=match):
             check_density_matrices(stack)
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_STACKS))
+    def test_hostile_stack_gets_the_allclose_verdict(self, name):
+        stack = HOSTILE_STACKS[name]()
+        expected = outcome(allclose_check, stack)
+        assert outcome(check_density_matrices, stack) == expected
+        if stack.shape == (4, 4):
+            assert outcome(TwoQubitState, stack) == outcome(
+                allclose_check, np.array(stack, dtype=complex)
+            )
 
     def test_error_rate_pair_range(self):
         with pytest.raises(ValidationError):
