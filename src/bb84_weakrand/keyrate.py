@@ -279,6 +279,16 @@ def _nearest_half(lo: float, hi: float) -> float:
     return hi if hi < 0.5 else lo
 
 
+def _at_fraction(worst: float, lo: float, hi: float, bands) -> tuple[float, ...]:
+    """Each ``(a, b)`` of ``bands`` at the fraction of ``[lo, hi]`` where ``worst`` sits.
+
+    The fraction is 0 for an interval of no width.  Applied to the bands
+    whose weighted average is ``[lo, hi]``, it puts that average at ``worst``.
+    """
+    fraction = (worst - lo) / (hi - lo) if hi > lo else 0.0
+    return tuple(a + fraction * (b - a) for a, b in bands)
+
+
 def evaluate_two_step_scenario(
     scenario: TwoStepScenario,
     dev: DeviationParams,
@@ -415,9 +425,7 @@ def two_step_worst_scenario(q: float, dev: DeviationParams) -> TwoStepScenario:
     bands = [(max(0.0, c - gap), min(1.0, c + gap)) for c in (u, t)]
     lo = low * bands[0][0] + high * bands[1][0]
     hi = low * bands[0][1] + high * bands[1][1]
-    worst = _nearest_half(lo, hi)
-    fraction = (worst - lo) / (hi - lo) if hi > lo else 0.0
-    phase_u, phase_t = (a + fraction * (b - a) for a, b in bands)
+    phase_u, phase_t = _at_fraction(_nearest_half(lo, hi), lo, hi, bands)
     hv = HiddenVariableModel(
         p_lambda0=0.5,
         p_lambda1=0.5,

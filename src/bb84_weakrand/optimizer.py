@@ -12,8 +12,9 @@ iterations each.  These settings are fixed, and nothing in the search is
 random, so it needs no seed.
 
 The grid scan, the refinement and the scenario rebuild all evaluate one
-plain-float elimination, :func:`_reduced_point`; only the scan's
-feasibility pre-pass, :func:`_feasibility`, runs on numpy arrays.  The
+elimination, :func:`_reduced_point`, and the scan's pre-pass runs the
+same two steps, :func:`_balanced_a1` on each grid pair (p_lambda1, a0)
+and :func:`_qber_e11` on that pair's block of bit error rates.  The
 refinement is an in-package bounded Nelder-Mead that repeats the steps of
 ``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)`` (scipy
 1.17) operation for operation, one start at a time, so it returns the
@@ -28,6 +29,7 @@ search's minimum lies more than ``CLOSED_FORM_MARGIN`` above it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -41,6 +43,8 @@ from .keyrate import (
     HiddenVariableModel,
     KeyRateResult,
     TwoStepScenario,
+    _at_fraction,
+    _nearest_half,
     evaluate_two_step_scenario,
     one_step_delta,
     phase_gap_bound,
@@ -115,47 +119,6 @@ class OptimizationResult:
         }
 
 
-def _eliminate(numerator, weight, fallback):
-    """``numerator / weight`` as :func:`_reduced_point` forms it, elementwise.
-
-    Where ``weight < _TINY`` the quotient is ``fallback`` and the entry is
-    charged ``abs(numerator)`` as penalty.  Returns ``(quotient, penalty)``.
-    """
-    small = weight < _TINY
-    quotient = numerator / np.where(small, 1.0, weight)
-    return np.where(small, fallback, quotient), np.where(small, np.abs(numerator), 0.0)
-
-
-def _feasibility(p, a0, e00, e01, e10, constants):
-    """The eliminated ``a1`` and ``e11`` at (p_lambda1, a0, e_b00, e_b01, e_b10).
-
-    The grid scan's pre-pass: :func:`_reduced_point`'s elimination on
-    numpy arrays.  The arguments broadcast together: rows of points, or
-    grid axes each on its own dimension.  ``a1`` comes from the basis
-    balance of 1/2 and ``e11`` from the observed QBER; both are clamped to
-    their bounds.  ``constants`` is the problem's ``search_constants``.
-    Returns ``(a1, (w00, w01, w10, w11), e11, penalty)``: the clamped
-    values, the weight ``w_hs`` of hidden value ``h`` on side ``s`` (side 0
-    the rectilinear basis), and the distance to feasibility, 0 exactly
-    where :func:`_reduced_point`'s penalty is 0: the unclamped variables'
-    distances to their bounds, plus abs(numerator) where a weight vanishes.
-    """
-    q, _, band_lo, band_hi = constants
-    one_minus_p = 1.0 - p
-    a1, collapsed = _eliminate(0.5 - p * a0, one_minus_p, 0.5)
-    # np.clip keeps the bound on a tie where _reduced_point keeps a1, the same
-    # bits: a1 is never -0.0 (a vanishing numerator is +0.0), nor is the band.
-    clamped = a1.clip(band_lo, band_hi)
-    w00, w01 = a0 * p, (1.0 - a0) * p
-    w10, w11 = clamped * one_minus_p, (1.0 - clamped) * one_minus_p
-
-    e11, weightless = _eliminate(q - w00 * e00 - w10 * e10 - w01 * e01, w11, 0.0)
-    # _reduced_point's clamp, which keeps e11 on a tie: -0.0 stays -0.0.
-    e11_clamped = np.where(0.0 > e11, 0.0, np.where(1.0 < e11, 1.0, e11))
-    penalty = collapsed + np.abs(a1 - clamped) + weightless + np.abs(e11 - e11_clamped)
-    return clamped, (w00, w01, w10, w11), e11_clamped, penalty
-
-
 def _side(w_a, w_b, bit_a, bit_b, cross_a, cross_b, gap):
     """One basis of a reduced scenario, or None when its weight is not positive.
 
@@ -164,10 +127,9 @@ def _side(w_a, w_b, bit_a, bit_b, cross_a, cross_b, gap):
     their bit error rates on the other side, which bound their phase
     errors to within ``gap``.  Returns ``(weight, bit, worst, bands)``: the
     side's weight, its weighted bit error rate, the point of its phase band
-    nearest 1/2 (the adversarial phase error, as in
-    :func:`keyrate.worst_case_phase_error`), and the phase bands
-    ``((lo_a, hi_a), (lo_b, hi_b), (lo, hi))`` of each hidden value and of
-    the side.
+    nearest 1/2 (the adversarial phase error, :func:`keyrate._nearest_half`),
+    and the phase bands ``((lo_a, hi_a), (lo_b, hi_b), (lo, hi))`` of each
+    hidden value and of the side.
 
     ``b if b > a else a`` and ``b if b < a else a`` spell ``max(a, b)`` and
     ``min(a, b)`` without the call, keeping their tie rule (``a`` wins).
@@ -183,24 +145,21 @@ def _side(w_a, w_b, bit_a, bit_b, cross_a, cross_b, gap):
     hi_b = 1.0 if 1.0 < hi_b else hi_b
     lo = (w_a * lo_a + w_b * lo_b) / weight
     hi = (w_a * hi_a + w_b * hi_b) / weight
-    worst = 0.5 if lo <= 0.5 <= hi else (hi if hi < 0.5 else lo)
+    worst = _nearest_half(lo, hi)
     return weight, bit, worst, ((lo_a, hi_a), (lo_b, hi_b), (lo, hi))
 
 
-def _reduced_point(constants, p, a0, e00, e01, e10):
-    """The scenario that the box point (p_lambda1, a0, e_b00, e_b01, e_b10) stands for.
+def _balanced_a1(constants, p, a0):
+    """The basis probability ``a1`` that the basis balance of 1/2 leaves at (p_lambda1, a0).
 
-    ``a1`` comes from the basis balance of 1/2 and ``e11`` from the
-    observed QBER, each clamped to its bounds; where the weight that
-    divides vanishes (below ``_TINY``) the variable takes a fallback.
+    ``a1`` is clamped to the basis band; where ``1 - p_lambda1`` vanishes
+    (below ``_TINY``) it takes 1/2 and is charged abs(p a0 - 1/2).
     ``constants`` is the problem's ``search_constants``.  Returns ``(a1,
-    e11, penalty, rec, dia)``: the clamped values, the distance to
-    feasibility (0 exactly at a feasible point: the unclamped variables'
-    distances to their bounds, plus abs(numerator) where a weight
-    vanishes), and the rectilinear and diagonal sides from :func:`_side`.
+    (w00, w10, w01, w11), penalty)``: the clamped value, the weight
+    ``w_hs`` of hidden value ``h`` on side ``s`` (side 0 the rectilinear
+    basis), and ``a1``'s distance to feasibility.
     """
-    q, gap, band_lo, band_hi = constants
-
+    _, _, band_lo, band_hi = constants
     penalty = 0.0
     one_minus_p = 1.0 - p
     if one_minus_p < _TINY:
@@ -212,21 +171,46 @@ def _reduced_point(constants, p, a0, e00, e01, e10):
     penalty += (0.0 if 0.0 > below else below) + (0.0 if 0.0 > above else above)
     a1 = band_lo if band_lo > a1 else a1
     a1 = band_hi if band_hi < a1 else a1
+    weights = (p * a0, one_minus_p * a1, p * (1.0 - a0), one_minus_p * (1.0 - a1))
+    return a1, weights, penalty
 
-    p_rec1, p_rec2 = p * a0, one_minus_p * a1
-    p_dia1, p_dia2 = p * (1.0 - a0), one_minus_p * (1.0 - a1)
 
-    residual = q - p_rec1 * e00 - p_rec2 * e10 - p_dia1 * e01
-    if p_dia2 < _TINY:
-        e11 = 0.0
-        penalty += abs(residual)
-    else:
-        e11 = residual / p_dia2
+def _qber_e11(q, weights, e00, e01, e10):
+    """The bit error rate ``e_b11`` that the observed QBER ``q`` leaves, unclamped.
+
+    ``weights`` are :func:`_balanced_a1`'s, as floats; the bit error rates
+    are floats or numpy arrays that broadcast together.  Where ``w11``
+    vanishes (below ``_TINY``) ``e_b11`` takes 0 and is charged the
+    residual's magnitude.  Returns ``(e11, charge)``.
+    """
+    w00, w10, w01, w11 = weights
+    residual = q - w00 * e00 - w10 * e10 - w01 * e01
+    if w11 < _TINY:
+        return 0.0, abs(residual)
+    return residual / w11, 0.0
+
+
+def _reduced_point(constants, p, a0, e00, e01, e10):
+    """The scenario that the box point (p_lambda1, a0, e_b00, e_b01, e_b10) stands for.
+
+    ``a1`` comes from :func:`_balanced_a1` and ``e11`` from
+    :func:`_qber_e11`, clamped to [0, 1].  ``constants`` is the problem's
+    ``search_constants``.  Returns ``(a1, e11, penalty, rec, dia)``: the
+    clamped values, the distance to feasibility (0 exactly at a feasible
+    point: the unclamped variables' distances to their bounds, plus the
+    charges of their fallbacks), and the rectilinear and diagonal sides
+    from :func:`_side`.
+    """
+    q, gap, _, _ = constants
+    a1, weights, penalty = _balanced_a1(constants, p, a0)
+    e11, charge = _qber_e11(q, weights, e00, e01, e10)
+    penalty += charge
     below, above = -e11, e11 - 1.0
     penalty += (0.0 if 0.0 > below else below) + (0.0 if 0.0 > above else above)
     e11 = 0.0 if 0.0 > e11 else e11
     e11 = 1.0 if 1.0 < e11 else e11
 
+    p_rec1, p_rec2, p_dia1, p_dia2 = weights
     rec = _side(p_rec1, p_rec2, e00, e10, e01, e11, gap)
     dia = _side(p_dia1, p_dia2, e01, e11, e00, e10, gap)
     return a1, e11, penalty, rec, dia
@@ -270,19 +254,25 @@ def _grid_points_array(axes: list[np.ndarray], cells: np.ndarray) -> np.ndarray:
 def _penalty_free_cells(axes: list[np.ndarray], constants) -> np.ndarray:
     """Flat indices, ascending, of the grid cells that carry no penalty.
 
-    Runs :func:`_feasibility` on the grid axes (p_lambda1, a0, e_b00,
-    e_b01, e_b10), each set on its own dimension, one slab of fixed
-    p_lambda1 at a time, so no temporary spans the grid, and keeps the
-    cells whose penalty is 0.
+    The grid axes are (p_lambda1, a0, e_b00, e_b01, e_b10).  Each pair
+    (p_lambda1, a0) whose :func:`_balanced_a1` carries no penalty has its
+    block of bit error rates, each axis on its own dimension, run through
+    :func:`_qber_e11`; the block keeps the cells charged nothing whose
+    ``e_b11`` lies in [0, 1].  That is where :func:`_reduced_point`'s
+    penalty, a sum of those non-negative terms, is 0.
     """
-    p_axis, a0, e00, e01, e10 = axes
-    slab = math.prod(len(axis) for axis in axes[1:])
+    q = constants[0]
+    p_axis, a0_axis, e00, e01, e10 = axes
+    block = len(e00) * len(e01) * len(e10)
+    e00, e01 = e00[:, None, None], e01[:, None]
     found = []
-    for i, p in enumerate(p_axis):
-        *_, penalty = _feasibility(
-            p, a0[:, None, None, None], e00[:, None, None], e01[:, None], e10, constants
-        )
-        found.append(i * slab + np.flatnonzero(penalty == 0.0))
+    for pair, (p, a0) in enumerate(itertools.product(p_axis.tolist(), a0_axis.tolist())):
+        _, weights, penalty = _balanced_a1(constants, p, a0)
+        if penalty != 0.0:
+            continue
+        e11, charge = _qber_e11(q, weights, e00, e01, e10)
+        free = (charge == 0.0) & (0.0 <= e11) & (e11 <= 1.0)
+        found.append(pair * block + np.flatnonzero(free))
     return np.concatenate(found)
 
 
@@ -423,15 +413,15 @@ def _box_search(constants):
     one at a time.  Returns ``(point, report)``.
 
     The scan evaluates the objective only where it can matter.  A
-    pre-pass, :func:`_penalty_free_cells`, runs the objective's
-    feasibility step on numpy arrays, :func:`_feasibility`, and finds the
-    cells that carry no penalty (886 of the 59,049 cells for the problem
-    that the `pulses` benchmark derives), at least g**3 of g**5 (g**2 at
-    eps1 = 0): those at p_lambda1 = 0 and e_b10 = 0, where a1 = 1/2 and
-    e_b11 = 2 q.  At g = ``GRID_POINTS`` that is more than
-    ``REFINE_STARTS``.  A penalised value exceeds ``PENALTY_BASE - 1`` and
-    an unpenalised one is at most 1, so no other cell can be among the
-    best, and the scan evaluates the penalty-free cells alone, in
+    pre-pass, :func:`_penalty_free_cells`, runs the objective's own
+    elimination over the grid and finds the cells that carry no penalty
+    (886 of the 59,049 cells for the problem that the `pulses` benchmark
+    derives), at least g**3 of g**5 (g**2 at eps1 = 0): those at
+    p_lambda1 = 0 and e_b10 = 0, where a1 = 1/2 and e_b11 = 2 q.  At
+    g = ``GRID_POINTS`` that is more than ``REFINE_STARTS``.  A penalised
+    value exceeds ``PENALTY_BASE - 1`` and an unpenalised one is at most
+    1, so no other cell can be among the best, and the scan evaluates the
+    penalty-free cells alone, in
     ascending order; the best cells and their index tie order are those
     of a scan of every cell, and the best cell, and so the argmin, carries
     no penalty.  ``grid_evaluations`` reports the grid's cells, evaluated
@@ -475,10 +465,10 @@ def _reconstruct_scenario(problem: TwoStepProblem, point) -> TwoStepScenario:
 
     The eliminated variables and each side's phase band come from
     :func:`_reduced_point`.  Each side's phase errors reach its worst
-    weighted average: every component sits at the fraction ``t`` of its
-    own band at which the worst point sits in the side's band (0 for a
-    band of no width).  A side of zero weight takes the cross-basis bit
-    error rates as its phase errors.
+    weighted average: every component sits at the fraction of its own band
+    at which the worst point sits in the side's band
+    (:func:`keyrate._at_fraction`).  A side of zero weight takes the
+    cross-basis bit error rates as its phase errors.
     """
     p, a0, e00, e01, e10 = (float(x) for x in point)
     a1, e11, _, rec, dia = _reduced_point(problem.search_constants, p, a0, e00, e01, e10)
@@ -486,9 +476,8 @@ def _reconstruct_scenario(problem: TwoStepProblem, point) -> TwoStepScenario:
     def phases(side, cross):
         if side is None:
             return cross
-        _, _, worst, ((lo_a, hi_a), (lo_b, hi_b), (lo, hi)) = side
-        t = 0.0 if hi - lo <= 0.0 else (worst - lo) / (hi - lo)
-        return lo_a + t * (hi_a - lo_a), lo_b + t * (hi_b - lo_b)
+        _, _, worst, (band_a, band_b, (lo, hi)) = side
+        return _at_fraction(worst, lo, hi, (band_a, band_b))
 
     e_p00, e_p10 = phases(rec, (e01, e11))
     e_p01, e_p11 = phases(dia, (e00, e10))

@@ -74,7 +74,7 @@ class TwoQubitState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(_numeric(self.matrix), dtype=complex)
         if m.shape != (4, 4):
             raise ValidationError(f"density matrix must be 4x4, got shape {m.shape}")
         check_density_matrices(m)
@@ -85,9 +85,17 @@ class TwoQubitState:
 def check_density_matrices(matrices: np.ndarray) -> None:
     """Raise ValidationError unless every matrix of a ``(..., 4, 4)`` stack is a state.
 
-    Each must be Hermitian and of unit trace within 1e-12, with no
+    The stack must be non-empty, of numbers with every entry finite.  Each
+    matrix must be Hermitian and of unit trace within 1e-12, with no
     eigenvalue below the -1e-10 floor.
     """
+    matrices = _numeric(matrices)
+    if matrices.ndim < 2 or matrices.shape[-2:] != (4, 4):
+        raise ValidationError(f"density matrices must be 4x4, got shape {matrices.shape}")
+    if matrices.size == 0:
+        raise ValidationError("density matrix stack is empty")
+    if not np.isfinite(matrices).all():
+        raise ValidationError("density matrix has a non-finite entry")
     if not _is_hermitian(matrices):
         raise ValidationError("density matrix is not Hermitian within 1e-12")
     trace = np.trace(matrices, axis1=-2, axis2=-1)
@@ -101,21 +109,27 @@ def check_density_matrices(matrices: np.ndarray) -> None:
         )
 
 
-def _is_hermitian(matrices: np.ndarray) -> bool:
-    """``np.allclose(m, m^H, rtol=0, atol=1e-12)``, without its overhead when it passes.
+def _numeric(matrices) -> np.ndarray:
+    """``matrices`` as a float or complex array: any other kind is cast to complex.
 
-    On finite float or complex entries, ``|m - m^H| <= atol`` is what
-    ``isclose`` tests when ``rtol`` is 0.  A non-finite entry fails that
-    test (``inf - inf`` is NaN) and a stack of another dtype skips it
-    (bool cannot subtract, int can wrap); ``allclose`` decides those, so
-    the verdict, and any warning, is always its own.
+    Raises ValidationError for input that cannot be cast.
+    """
+    try:
+        matrices = np.asarray(matrices)
+        return matrices if matrices.dtype.kind in "fc" else matrices.astype(complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"density matrix entries are not numbers: {exc}") from None
+
+
+def _is_hermitian(matrices: np.ndarray) -> bool:
+    """``np.allclose(m, m^H, rtol=0, atol=1e-12)`` on finite float or complex entries.
+
+    With ``rtol`` 0 that is ``|m - m^H| <= atol``; a difference that
+    overflows is infinite and fails it.
     """
     adj = matrices.conj().swapaxes(-1, -2)
-    if matrices.dtype.kind in "fc":
-        with np.errstate(invalid="ignore", over="ignore"):
-            if bool((np.abs(matrices - adj) <= HERMITIAN_ATOL).all()):
-                return True
-    return np.allclose(matrices, adj, rtol=0.0, atol=HERMITIAN_ATOL)
+    with np.errstate(over="ignore"):
+        return bool((np.abs(matrices - adj) <= HERMITIAN_ATOL).all())
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -309,7 +311,67 @@ class TestSweepCommand:
         capsys.readouterr()
 
 
+# The numpy-free commands, each with the file its --out names: the
+# closed-form rates and the benchmark's `curves` sweep (seed 1).
+NUMPY_FREE_COMMANDS = [
+    ("one-step.json", ["rate", "--method", "one-step", "--qber", "0.02", "--eps1", "0.1"]),
+    ("strong.json", ["rate", "--method", "strong", "--p", "0.9", "--s", "1", "--f", "1.1",
+                     "--e", "0.02"]),
+    ("curves.csv", ["sweep", "--qber", "0:0.12:0.01", "--dev", "0,0", "--dev", "0,0.1",
+                    "--dev", "0.1,0.1", "--method", "one-step", "--method", "two-step",
+                    "--seed", "1"]),
+]
+# The supported interpreters besides 3.11, which CI's tier-1 job runs the tests on.
+OTHER_INTERPRETERS = ["python3.10", "python3.12", "python3.13"]
+
+
+def numpy_free_outputs(python: str, out) -> dict[str, bytes]:
+    """The files the numpy-free commands write into ``out`` under ``python``, numpy blocked.
+
+    Keyed by file name, with each manifest's timestamp blanked.
+    """
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from bb84_weakrand.cli import main\n"
+        f"for name, argv in {NUMPY_FREE_COMMANDS!r}:\n"
+        "    assert main(argv + ['--out', sys.argv[1] + '/' + name]) == 0, argv\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [python, "-c", code, str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        file.name: re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', file.read_bytes())
+        for file in sorted(out.iterdir())
+    }
+
+
+@pytest.fixture(scope="module")
+def own_numpy_free_outputs(tmp_path_factory):
+    outputs = numpy_free_outputs(sys.executable, tmp_path_factory.mktemp("own"))
+    assert hashlib.sha256(outputs["curves.csv"]).hexdigest() == CURVES_SHA256
+    return outputs
+
+
 class TestNumpyFreeCommands:
+    @pytest.mark.parametrize("python", OTHER_INTERPRETERS)
+    def test_same_bytes_under_every_interpreter(self, python, own_numpy_free_outputs, tmp_path):
+        """Each supported interpreter writes the running one's bytes, timestamps aside."""
+        found = shutil.which(python)
+        if found is None or subprocess.run([found, "-c", ""], capture_output=True).returncode:
+            pytest.skip(f"{python} cannot be started here")
+        outputs = numpy_free_outputs(found, tmp_path)
+        assert sorted(outputs) == [
+            "curves.csv", "curves.csv.manifest.json", "one-step.json", "strong.json"
+        ]
+        assert outputs == own_numpy_free_outputs
+
     def test_closed_form_commands_do_not_import_numpy(self):
         """Importing the package, sweeps and the closed-form rates need no numpy."""
         argvs = [

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from grid_scan_reference import _feasibility
 from grid_scan_reference import box_search as grid_scan_box_search
 from grid_scan_reference import grid_points_array
 
@@ -29,12 +30,13 @@ from bb84_weakrand.optimizer import (
     REFINE_STARTS,
     VARIABLE_TOL,
     TwoStepProblem,
+    _TINY,
     _box_search,
     _clip,
-    _feasibility,
     _grid_axes,
     _grid_points_array,
     _penalty_free_cells,
+    _qber_e11,
     _reduced_objective_scalar,
     _reduced_point,
     _reconstruct_scenario,
@@ -326,7 +328,8 @@ SEARCH_ABOVE_CLOSED_FORM = {
 def _sampled_rates(points, problem):
     """Worst-phase rate and feasibility penalty at each sampled box point.
 
-    The eliminated ``a1`` and ``e11`` come from :func:`_feasibility`; the
+    The eliminated ``a1`` and ``e11`` come from the reference elimination,
+    :func:`grid_scan_reference._feasibility`; the
     rate is formed here from the weights, with each basis's phase error at
     the point of its band nearest 1/2.
     """
@@ -423,7 +426,7 @@ def _grid_scan_axes(constants, grid):
 
 
 def _penalty_free_reference(axes, constants):
-    """Flat indices of the cells whose ``_feasibility`` penalty is 0, all rows at once."""
+    """Flat indices of the cells whose reference ``_feasibility`` penalty is 0, all rows at once."""
     *_, penalty = _feasibility(*grid_points_array(axes).T, constants)
     return np.flatnonzero(penalty == 0.0)
 
@@ -481,6 +484,30 @@ class TestGridScan:
             axes = _grid_scan_axes(own, int(rng.integers(2, 13)))
             flagged = _penalty_free_cells(axes, own)
             assert flagged.tolist() == _penalty_free_reference(axes, own).tolist()
+
+    @pytest.mark.parametrize("eps1", [0.0, 0.5])
+    def test_flags_free_cells_where_e11_takes_its_fallback(self, eps1, monkeypatch):
+        """Blocks whose ``w11`` vanishes take ``e_b11 = 0`` and keep the cells charged nothing.
+
+        At eps1 = 0 the pair (1, 1/2) sets a1 = 1/2 with no penalty and
+        ``w11 = 0``; at eps1 = 1/2 the pair (1/2, 0) sets a1 = 1, and
+        ``w11 = 0`` too.  Either way the cells with e_b00 + e_b01 (or
+        e_b10 + e_b01) equal to 2 q = 1/2 are free.
+        """
+        fallbacks = []
+
+        def spy(q, weights, e00, e01, e10):
+            e11, charge = _qber_e11(q, weights, e00, e01, e10)
+            if weights[3] < _TINY:
+                fallbacks.append(np.count_nonzero(charge == 0.0))
+            return e11, charge
+
+        monkeypatch.setattr(optimizer, "_qber_e11", spy)
+        own = TwoStepProblem(0.25, DeviationParams(0.1, eps1)).search_constants
+        axes = _grid_scan_axes(own, 5)
+        flagged = _penalty_free_cells(axes, own)
+        assert flagged.tolist() == _penalty_free_reference(axes, own).tolist()
+        assert fallbacks and max(fallbacks) > 0
 
     def test_pre_pass_flags_the_cells_the_objective_leaves_unpenalised(self):
         """The pre-pass's elimination and the plain-float one agree on every cell."""

@@ -266,6 +266,12 @@ def outcome(check, matrices) -> tuple:
     return ("ok",)
 
 
+def allclose_outcome(matrices) -> tuple:
+    """``outcome(allclose_check, matrices)`` with numpy's overflow warning ignored."""
+    with np.errstate(over="ignore"):
+        return outcome(allclose_check, matrices)
+
+
 def quarter_identity_with(entries: dict, dtype=complex) -> np.ndarray:
     """I/4 with the ``{(row, column): value}`` entries set."""
     m = np.eye(4, dtype=dtype) / 4
@@ -313,6 +319,12 @@ HOSTILE_STACKS = {
     ),
     "int-stack-that-wraps": wrapping_int_state,
     "bool-stack": lambda: np.diag([True, False, False, False])[None],
+    "real-stack-with-trace-2": lambda: np.eye(4) / 2,
+    "real-stack-below-the-eigenvalue-floor": lambda: np.diag([0.8, 0.4, -0.2, 0.0]),
+    "none-entries": lambda: np.full((4, 4), None),
+    "string-entries": lambda: np.full((4, 4), "a"),
+    "ragged-rows": lambda: np.array([[0.25] * 4] * 3 + [[0.25] * 3], dtype=object),
+    "one-row": lambda: np.full(4, 0.25),
 }
 
 
@@ -358,13 +370,43 @@ class TestTypeValidation:
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_STACKS))
     def test_hostile_stack_gets_the_allclose_verdict(self, name):
+        """Every hostile stack passes or raises ValidationError.
+
+        A non-empty ``(..., 4, 4)`` stack of finite floats or complex numbers
+        gets the verdict and message of the check as written with
+        ``np.allclose``, without the overflow warning that ``np.allclose``
+        gives on a difference too large for a float.
+        """
         stack = HOSTILE_STACKS[name]()
-        expected = outcome(allclose_check, stack)
-        assert outcome(check_density_matrices, stack) == expected
+        found = outcome(check_density_matrices, stack)
+        assert found == ("ok",) or found[0] is ValidationError, found
+        finite = (
+            stack.dtype.kind in "fc"
+            and stack.shape[-2:] == (4, 4)
+            and stack.size
+            and np.isfinite(stack).all()
+        )
+        if finite:
+            assert found == allclose_outcome(stack)
         if stack.shape == (4, 4):
-            assert outcome(TwoQubitState, stack) == outcome(
-                allclose_check, np.array(stack, dtype=complex)
-            )
+            state = outcome(TwoQubitState, stack)
+            assert state == ("ok",) or state[0] is ValidationError, state
+            if finite:
+                assert state == allclose_outcome(np.array(stack, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("empty-stack", "density matrix stack is empty"),
+            ("nan-on-diagonal", "density matrix has a non-finite entry"),
+            ("inf-at-conjugate-positions", "density matrix has a non-finite entry"),
+            ("one-row", "density matrices must be 4x4, got shape (4,)"),
+            ("string-entries", "density matrix entries are not numbers: "),
+        ],
+    )
+    def test_hostile_stack_reports_what_is_wrong(self, name, message):
+        found = outcome(check_density_matrices, HOSTILE_STACKS[name]())
+        assert found[0] is ValidationError and found[1].startswith(message)
 
     def test_error_rate_pair_range(self):
         with pytest.raises(ValidationError):
