@@ -16,7 +16,8 @@ largest vertex value, which the grid holds exactly: a band point whose
 best one-operator gap stays below the best of all band points cannot
 hold the maximum, so its mat-vec is skipped (:func:`_scan` bounds the
 rounding).  Every band state is still built and validated as a density
-matrix.
+matrix.  The simplex is streamed through the scan in blocks of a few
+hundred KiB, so a scan's memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -38,11 +39,14 @@ from .quantum_core import (
 
 VIOLATION_TOL = 1e-9
 
-# A scan holds about SIMPLEX_BYTES_PER_ROW bytes per simplex row at its
-# peak (the integer compositions while the float grid is built, then the
-# float grid and the values of one mat-vec; the slope of peak RSS over
-# grids of 100 to 250).
-# MAX_SIMPLEX_ROWS keeps a scan within MEMORY_BUDGET.
+# A scan streams the simplex in blocks of whole slabs, each of about
+# SIMPLEX_BLOCK_ROWS rows (512 KiB as floats), and holds one block and one
+# value column at a time.  SIMPLEX_BYTES_PER_ROW is the peak per row that
+# a scan of the whole grid at once was measured to hold; MAX_SIMPLEX_ROWS
+# keeps that within MEMORY_BUDGET.  It now bounds simplex_grid, which
+# holds the blocks and their concatenation (64 B/row), and the rows one
+# scanned case runs through.
+SIMPLEX_BLOCK_ROWS = 2**14
 SIMPLEX_BYTES_PER_ROW = 120
 MAX_SIMPLEX_ROWS = MEMORY_BUDGET // SIMPLEX_BYTES_PER_ROW
 
@@ -95,10 +99,21 @@ def simplex_grid(resolution: int) -> np.ndarray:
     """All channel probability vectors with denominator ``resolution``.
 
     Rows are (q00, q01, q10, q11) built from integer compositions, so
-    the simplex vertices are always present exactly.  There are
-    C(resolution + 3, 3) of them, at most ``MAX_SIMPLEX_ROWS``
-    (35,791,394, a 4 GiB scan: resolution 596 or less); a larger grid is
-    rejected before anything is built.
+    the simplex vertices are always present exactly: the blocks of
+    :func:`_simplex_blocks`, concatenated.  There are C(resolution + 3,
+    3) of them, at most ``MAX_SIMPLEX_ROWS``; a larger grid is rejected
+    before anything is built.
+    """
+    return np.concatenate(list(_simplex_blocks(resolution)))
+
+
+def _simplex_blocks(resolution: int):
+    """The rows of :func:`simplex_grid`, in its order, as float blocks.
+
+    The resolution and the row cap are checked when this is called, not
+    when the first block is taken.  Each block holds whole slabs of one
+    ``a = q00 * resolution``; consecutive slabs are grouped up to
+    ``SIMPLEX_BLOCK_ROWS`` rows, and a larger slab is a block on its own.
     """
     if resolution < 1:
         raise ValidationError("simplex grid resolution must be positive")
@@ -108,14 +123,40 @@ def simplex_grid(resolution: int) -> np.ndarray:
             f"a simplex grid of resolution {resolution} has {n_rows} rows, "
             f"above the cap of {MAX_SIMPLEX_ROWS}; use a smaller grid"
         )
-    # The compositions (a, b, c, resolution - a - b - c) in lexicographic
-    # order: each a is followed by resolution + 1 - a values of b, each
-    # (a, b) by resolution + 1 - a - b values of c.
-    a = np.repeat(np.arange(resolution + 1), np.arange(resolution + 1, 0, -1))
-    b = _ramps(np.arange(resolution + 1, 0, -1))
+    return _slab_blocks(resolution)
+
+
+def _slab_blocks(resolution: int):
+    start, rows = 0, 0
+    for a in range(resolution + 1):
+        slab = math.comb(resolution - a + 2, 2)
+        if rows and rows + slab > SIMPLEX_BLOCK_ROWS:
+            yield _compositions(resolution, start, a)
+            start, rows = a, 0
+        rows += slab
+    yield _compositions(resolution, start, resolution + 1)
+
+
+def _compositions(resolution: int, a_start: int, a_stop: int) -> np.ndarray:
+    """The slabs ``a_start <= a < a_stop`` of the simplex grid.
+
+    Rows are (a, b, c, resolution - a - b - c) / resolution in
+    lexicographic order: each a is followed by resolution + 1 - a values
+    of b, each (a, b) by resolution + 1 - a - b values of c.  The
+    integers are exact as floats, so each entry is ``k /
+    float(resolution)`` rounded once.
+    """
+    a_values = np.arange(a_start, a_stop)
+    a = np.repeat(a_values, resolution + 1 - a_values)
+    b = _ramps(resolution + 1 - a_values)
     c_counts = resolution + 1 - a - b
-    a, b, c = np.repeat(a, c_counts), np.repeat(b, c_counts), _ramps(c_counts)
-    return np.stack((a, b, c, resolution - a - b - c), axis=1) / float(resolution)
+    rows = np.empty((int(c_counts.sum()), 4))
+    rows[:, 0] = np.repeat(a, c_counts)
+    rows[:, 1] = np.repeat(b, c_counts)
+    rows[:, 2] = _ramps(c_counts)
+    rows[:, 3] = resolution - rows[:, 0] - rows[:, 1] - rows[:, 2]
+    rows /= float(resolution)
+    return rows
 
 
 def _ramps(lengths: np.ndarray) -> np.ndarray:
@@ -124,8 +165,21 @@ def _ramps(lengths: np.ndarray) -> np.ndarray:
 
 
 def deviation_band(eps: float, resolution: int) -> np.ndarray:
-    """Grid over [1/2 - eps, 1/2 + eps] with both endpoints included."""
-    return np.linspace(0.5 - eps, 0.5 + eps, resolution)
+    """Grid over [1/2 - eps, 1/2 + eps] with both endpoints included.
+
+    An end that ``0.5 - eps`` or ``0.5 + eps`` rounds outside the exact
+    band is moved one ULP inward, so every band point is a probability
+    the bound covers.  For ``0 <= eps <= 1/2`` the rounding error of
+    ``0.5 + x`` (``x = -eps`` or ``eps``) is exactly ``x - (end - 0.5)``
+    in floats (Fast2Sum), so its sign says which side of the band an
+    end fell on.
+    """
+    lo, hi = 0.5 - eps, 0.5 + eps
+    if (0.5 - lo) - eps > 0.0:
+        lo = math.nextafter(lo, 0.5)
+    if (hi - 0.5) - eps > 0.0:
+        hi = math.nextafter(hi, 0.5)
+    return np.linspace(lo, hi, resolution)
 
 
 def _pure_rates(p_bit0: float, basis_band: np.ndarray) -> np.ndarray:
@@ -150,9 +204,15 @@ def _scan(
 
     ``cases`` yields ``(gap, where)``: the gaps of the four one-operator
     channels and the band coordinates they belong to.  It is only read
-    after ``grid_res`` is checked.  ``points`` counts its band points,
-    and ``points_checked`` every row of every case: each is either
-    evaluated or bounded below the maximum as follows.
+    after ``grid_res`` and the row cap are checked.  ``points`` counts its
+    band points, and ``points_checked`` every row of every case: each is
+    either evaluated or bounded below the maximum as follows.
+
+    The grid is streamed in the blocks of :func:`_simplex_blocks`, so the
+    scan holds one block and one value column, never the whole grid.
+    Each row's value is the same 4-term product whichever block holds it,
+    and each case keeps its first strict maximum over the blocks in row
+    order, which is the row ``argmax`` over the whole grid would give.
 
     Only a case that can hold the maximum runs its mat-vec.  Each simplex
     vertex is a grid row exactly (``g / g`` is 1.0, ``0 / g`` is 0.0), and
@@ -173,29 +233,36 @@ def _scan(
     """
     if grid_res < 3:
         raise ValidationError(f"grid_res must be at least 3, got {grid_res}")
-    channels = simplex_grid(grid_res)
+    blocks = _simplex_blocks(grid_res)
     cases = list(cases)
     gaps = np.array([gap for gap, _ in cases])
     tops = (np.abs(gaps) if absolute else gaps).max(axis=1)
     floor = float(tops.max())
     slack = 1e-12 * float(np.abs(gaps).max())
+    live = [k for k, top in enumerate(tops.tolist()) if not top + slack < floor]
+    # Each live case's first strict maximum so far, as (value, row).
+    case_best = dict.fromkeys(live, (-np.inf, None))
+    for block in blocks:
+        for k in live:
+            values = block @ cases[k][0]
+            if absolute:
+                np.abs(values, out=values)
+            idx = int(np.argmax(values))
+            if values[idx] > case_best[k][0]:
+                case_best[k] = (float(values[idx]), block[idx].tolist())
     best = -np.inf
     location: dict = {}
-    for (gap, where), top in zip(cases, tops.tolist()):
-        if top + slack < floor:
-            continue
-        values = channels @ gap
-        if absolute:
-            values = np.abs(values)
-        idx = int(np.argmax(values))
-        if values[idx] > best:
-            best = float(values[idx])
-            q00, q01, q10, q11 = channels[idx].tolist()
+    for k in live:
+        value, row = case_best[k]
+        if value > best:
+            best = value
+            q00, q01, q10, q11 = row
             location = {
-                "q00": q00, "q01": q01, "q10": q10, "q11": q11, **where, "difference": best
+                "q00": q00, "q01": q01, "q10": q10, "q11": q11, **cases[k][1], "difference": best
             }
+    points_checked = math.comb(grid_res + 3, 3) * points
     return OracleReport(
-        target, bound, best, best - bound, bound - best, location, len(channels) * points, grid_res
+        target, bound, best, best - bound, bound - best, location, points_checked, grid_res
     )
 
 

@@ -1,6 +1,9 @@
 """Tests for the brute-force verification of the error-gap bounds."""
 
+import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +112,47 @@ class TestGrids:
         with pytest.raises(ValidationError, match="above the cap"):
             simplex_grid(6)
 
+    def test_blocks_are_whole_slabs_in_grid_order(self, monkeypatch):
+        for block_rows in (1, 7, 56, 2**14):
+            monkeypatch.setattr(bound_oracle, "SIMPLEX_BLOCK_ROWS", block_rows)
+            for resolution in (1, 3, 10, 40):
+                blocks = list(bound_oracle._simplex_blocks(resolution))
+                assert np.concatenate(blocks).tobytes() == simplex_grid(resolution).tobytes()
+                firsts = [round(block[0, 0] * resolution) for block in blocks]
+                lasts = [round(block[-1, 0] * resolution) for block in blocks]
+                assert firsts == [0] + [last + 1 for last in lasts[:-1]]
+                for block, first, last in zip(blocks, firsts, lasts):
+                    whole = sum(math.comb(resolution - a + 2, 2) for a in range(first, last + 1))
+                    assert len(block) == whole
+                    assert len(block) <= block_rows or first == last
+
+    def test_blocks_check_their_input_when_called(self):
+        with pytest.raises(ValidationError, match="must be positive"):
+            bound_oracle._simplex_blocks(0)
+        with pytest.raises(ValidationError, match="above the cap"):
+            bound_oracle._simplex_blocks(597)
+
+    def test_scan_rejects_the_cap_before_reading_a_case(self):
+        def cases():
+            raise AssertionError("a case was built")
+            yield
+
+        with pytest.raises(ValidationError, match="above the cap"):
+            _scan("cap", 0.0, 597, cases(), 1, absolute=False)
+
+    def test_band_lies_in_the_exact_band(self):
+        named = [0.01, 0.05, 0.3, 0.4999999999999997, 0.49999999999999994, 5e-324, 1e-17]
+        seeded = np.random.default_rng(2000).uniform(0.0, 0.5, 2000).tolist()
+        moved = 0
+        for eps in named + seeded:
+            lo, hi = Fraction(0.5) - Fraction(eps), Fraction(0.5) + Fraction(eps)
+            band = deviation_band(eps, 5)
+            assert all(lo <= Fraction(p) <= hi for p in band.tolist()), eps
+            for end, rounded in ((band[0], 0.5 - eps), (band[-1], 0.5 + eps)):
+                assert end in (rounded, math.nextafter(rounded, 0.5)), eps
+            moved += (band[0], band[-1]) != (0.5 - eps, 0.5 + eps)
+        assert moved >= 400
+
     def test_grid_res_minimum(self):
         with pytest.raises(ValidationError, match="at least 3, got 2"):
             verify_one_step_bound(DeviationParams(0.0, 0.0), 2)
@@ -192,6 +236,22 @@ class TestCrossBasisBound:
         report = verify_cross_basis_bound(eps0, 9)
         assert report.max_violation <= 1e-9
 
+
+@pytest.mark.parametrize("grid", [3, 4])
+def test_bounds_hold_just_below_one_half(grid):
+    """A band end rounded to 0 or 1 would put the rounding of sqrt(p0 (1 - p0))
+    far above the bound; the 60 doubles below 1/2 include such eps0."""
+    eps0 = 0.5
+    for _ in range(60):
+        eps0 = math.nextafter(eps0, 0.0)
+        for report in (
+            verify_cross_basis_bound(eps0, grid),
+            verify_one_step_bound(DeviationParams(eps0, 0.0), grid),
+            verify_one_step_bound(DeviationParams(eps0, eps0), grid),
+        ):
+            assert report.passed, (eps0, report.max_violation)
+            assert 0.0 < report.max_gap_location["p_bit0"] < 1.0
+
     def test_location_reproduces_extreme(self):
         report = verify_cross_basis_bound(0.3, 7)
         loc = report.max_gap_location
@@ -227,8 +287,10 @@ REPORT_CHECKSUMS = {
         "sha256:707b2086cd33b00a269a27b88ba3f3671e18eccb1b78e3a7a8d05a245344ab3b",
     ("one-step", 0.5, 0.5, 9):
         "sha256:b260587812e86aeba51c141dff0bb48169ded64fbeb157cb8af1882b1a7a1336",
+    # eps1 = 0.01's band ends round outside the exact band and are moved
+    # one ULP inward, so its tied basis band picks another first point.
     ("one-step", 0.37, 0.01, 12):
-        "sha256:4e3b518bbb6e55c8d1f5ca8b1f8cdfed5bf653d68bbce4e4710bdc35c84ac0b8",
+        "sha256:0c2a3b9d60816dcdf36939fb8e535b701c73e8c60faa0863c8ddeb244b1f617c",
     ("cross-basis", 0.0, None, 3):
         "sha256:2cb5856b9edfa0e8f783b0e1a31615aad79144aa455aba5bd082d12cab810092",
     ("cross-basis", 0.3, None, 7):
@@ -309,7 +371,7 @@ def hexed(report) -> dict:
 
 
 class CountingGrid(np.ndarray):
-    """A simplex grid that counts the mat-vecs run against it."""
+    """A simplex block that counts the mat-vecs run against it."""
 
     matvecs = 0
 
@@ -320,11 +382,18 @@ class CountingGrid(np.ndarray):
 
 @pytest.fixture
 def counted_matvecs(monkeypatch):
-    """Make the oracle's simplex grids count their mat-vecs; returns the class."""
-    original = bound_oracle.simplex_grid
-    monkeypatch.setattr(
-        bound_oracle, "simplex_grid", lambda res: original(res).view(CountingGrid)
-    )
+    """Count the cases the oracle scans; returns the counting class.
+
+    Every scanned case runs one mat-vec per block, so only the first
+    block of each grid counts: one count per case, whatever the blocks.
+    """
+    original = bound_oracle._simplex_blocks
+
+    def counted(resolution):
+        blocks = original(resolution)
+        return itertools.chain([next(blocks).view(CountingGrid)], blocks)
+
+    monkeypatch.setattr(bound_oracle, "_simplex_blocks", counted)
     CountingGrid.matvecs = 0
     return CountingGrid
 
@@ -339,17 +408,33 @@ def unpruned(monkeypatch, target: str, eps0: float, eps1: float, grid: int):
 EDGE_EPS = (0.0, 0.01, 0.123, 0.25, 0.49, 0.5)
 
 
+def assert_same_reports_at_edges(monkeypatch, target: str, grid: int):
+    """The oracle reports what the unpruned scan reports at every EDGE_EPS."""
+    eps1_values = EDGE_EPS if target == "one-step" else (None,)
+    for eps0 in EDGE_EPS:
+        for eps1 in eps1_values:
+            expected = hexed(unpruned(monkeypatch, target, eps0, eps1, grid))
+            assert hexed(verify(target, eps0, eps1, grid)) == expected, (grid, eps0, eps1)
+
+
+def assert_synthetic_gaps_match(rng, absolute: bool, grid_stop: int):
+    """50 random cases of tied, signed and zero gaps scan as the reference does."""
+    levels = np.array([-0.3, -0.1, -0.0, 0.0, 0.1, 0.2, 0.3])
+    for trial in range(50):
+        gaps = rng.choice(levels, size=(int(rng.integers(1, 12)), 4))
+        cases = [(gap, {"case": k}) for k, gap in enumerate(gaps)]
+        args = ("synthetic", 0.25, int(rng.integers(3, grid_stop)))
+        expected = oracle_reference._scan(*args, cases, len(cases), absolute)
+        assert hexed(_scan(*args, cases, len(cases), absolute)) == hexed(expected), trial
+
+
 class TestVertexBound:
     """The pruned scan reports what the scan of every case reports."""
 
     @pytest.mark.parametrize("grid", [3, 4, 5, 7, 10, 21])
     @pytest.mark.parametrize("target", ["one-step", "cross-basis"])
     def test_same_report_as_unpruned_scan(self, target, grid, monkeypatch):
-        eps1_values = EDGE_EPS if target == "one-step" else (None,)
-        for eps0 in EDGE_EPS:
-            for eps1 in eps1_values:
-                expected = hexed(unpruned(monkeypatch, target, eps0, eps1, grid))
-                assert hexed(verify(target, eps0, eps1, grid)) == expected, (eps0, eps1)
+        assert_same_reports_at_edges(monkeypatch, target, grid)
 
     @pytest.mark.parametrize(
         "target, eps0, eps1", [("one-step", 0.1, 0.0), ("cross-basis", 0.5, None)]
@@ -375,14 +460,7 @@ class TestVertexBound:
 
     @pytest.mark.parametrize("absolute", [False, True])
     def test_tied_and_signed_gaps_match_unpruned_scan(self, absolute):
-        rng = np.random.default_rng(20)
-        levels = np.array([-0.3, -0.1, -0.0, 0.0, 0.1, 0.2, 0.3])
-        for trial in range(50):
-            gaps = rng.choice(levels, size=(int(rng.integers(1, 12)), 4))
-            cases = [(gap, {"case": k}) for k, gap in enumerate(gaps)]
-            args = ("synthetic", 0.25, int(rng.integers(3, 9)))
-            expected = oracle_reference._scan(*args, cases, len(cases), absolute)
-            assert hexed(_scan(*args, cases, len(cases), absolute)) == hexed(expected), trial
+        assert_synthetic_gaps_match(np.random.default_rng(20), absolute, grid_stop=9)
 
     @pytest.mark.parametrize("absolute", [False, True])
     def test_all_zero_gaps_skip_nothing(self, absolute, counted_matvecs):
@@ -402,3 +480,32 @@ class TestVertexBound:
     ):
         verify(target, eps0, eps1, grid)
         assert 1 <= counted_matvecs.matvecs <= 4 < cases
+
+
+class TestStreamedGrid:
+    """The scan over small blocks reports what the whole-grid scan reports."""
+
+    @pytest.fixture(params=[7, 56])
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(bound_oracle, "SIMPLEX_BLOCK_ROWS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_tied_and_signed_gaps(self, absolute, small_blocks):
+        assert_synthetic_gaps_match(np.random.default_rng(small_blocks), absolute, grid_stop=11)
+
+    @pytest.mark.parametrize("target", ["one-step", "cross-basis"])
+    def test_both_targets(self, target, small_blocks, monkeypatch):
+        for grid in range(3, 11):
+            assert_same_reports_at_edges(monkeypatch, target, grid)
+
+    def test_scan_memory_stays_within_a_few_blocks(self):
+        """The whole grid-161 simplex would be 23 MB of floats alone."""
+        verify_cross_basis_bound(0.1, 11)  # first-call set-up is not the scan's
+        tracemalloc.start()
+        try:
+            verify_cross_basis_bound(0.1, 161)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
