@@ -236,6 +236,15 @@ class TestCrossBasisBound:
         report = verify_cross_basis_bound(eps0, 9)
         assert report.max_violation <= 1e-9
 
+    def test_location_reproduces_extreme(self):
+        report = verify_cross_basis_bound(0.3, 7)
+        loc = report.max_gap_location
+        rec_gap, dia_gap = evaluate_cross_basis_point(
+            location_channel(loc), loc["p_bit0"]
+        )
+        direct = rec_gap if loc["family"] == "rec_phase_vs_dia_bit" else dia_gap
+        assert abs(direct) == pytest.approx(report.max_difference, abs=1e-12)
+
 
 @pytest.mark.parametrize("grid", [3, 4])
 def test_bounds_hold_just_below_one_half(grid):
@@ -251,15 +260,6 @@ def test_bounds_hold_just_below_one_half(grid):
         ):
             assert report.passed, (eps0, report.max_violation)
             assert 0.0 < report.max_gap_location["p_bit0"] < 1.0
-
-    def test_location_reproduces_extreme(self):
-        report = verify_cross_basis_bound(0.3, 7)
-        loc = report.max_gap_location
-        rec_gap, dia_gap = evaluate_cross_basis_point(
-            location_channel(loc), loc["p_bit0"]
-        )
-        direct = rec_gap if loc["family"] == "rec_phase_vs_dia_bit" else dia_gap
-        assert abs(direct) == pytest.approx(report.max_difference, abs=1e-12)
 
 
 class TestReportShape:
